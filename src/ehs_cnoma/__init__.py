@@ -12,7 +12,6 @@ and energy efficiency twice: by deterministic Monte-Carlo simulation over
 Rayleigh fading and by closed forms, and cross-validates the two.
 """
 
-from ._kernels import active_backend
 from .analytic import AnalyticReport, Exactness
 from .cli import SweepRow, SweepSpec, main, parse_config, run_sweep, write_csv
 from .model import (
@@ -48,7 +47,6 @@ __all__ = [
     "SystemParams",
     "Thresholds",
     "ValidationReport",
-    "active_backend",
     "compare_with_analytic",
     "estimate_metrics",
     "main",

@@ -29,8 +29,6 @@ _DEFAULTS = {
     "r1": 1.0,
     "r2": 1.0,
     "r3": 1.0,
-    "sigma_sq": 1.0,
-    "t_total": 1.0,
     "trials": 100000,
     "seed": 42,
 }
@@ -132,8 +130,6 @@ def parse_config(text: str) -> tuple[SystemParams, EstimatorConfig, SweepSpec]:
             r1=values["r1"],
             r2=values["r2"],
             r3=values["r3"],
-            sigma_sq=values["sigma_sq"],
-            t_total=values["t_total"],
         )
         cfg = EstimatorConfig(
             trials=values["trials"], seed=values["seed"], protocol=Protocol.EHS_MRC
@@ -160,8 +156,6 @@ def render_config(params: SystemParams, cfg: EstimatorConfig) -> str:
         "r1": params.r1,
         "r2": params.r2,
         "r3": params.r3,
-        "sigma_sq": params.sigma_sq,
-        "t_total": params.t_total,
         "trials": cfg.trials,
         "seed": cfg.seed,
     }
@@ -169,7 +163,10 @@ def render_config(params: SystemParams, cfg: EstimatorConfig) -> str:
 
 
 def db_to_linear(snr_db: float) -> float:
-    return 10.0 ** (snr_db / 10.0)
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr_db={snr_db} overflows 10^(snr_db/10)") from None
 
 
 def linear_to_db(rho: float) -> float:
@@ -369,6 +366,8 @@ def main(argv=None) -> int:
         return 2
 
     try:
+        if args.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
         params, cfg, spec = parse_config(text)
         if args.trials is not None or args.seed is not None:
             cfg = replace(
@@ -392,7 +391,7 @@ def main(argv=None) -> int:
             protocols=protocols,
             metrics=metrics,
         )
-        rows = run_sweep(spec, params, cfg, workers=max(args.workers, 1))
+        rows = run_sweep(spec, params, cfg, workers=args.workers)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -406,7 +405,7 @@ def main(argv=None) -> int:
     if args.validate:
         varz = model.variances_from_distances(params)
         reports = montecarlo.validation_for_both(
-            params, varz, cfg, protocols, workers=max(args.workers, 1)
+            params, varz, cfg, protocols, workers=args.workers
         )
         if _print_validation(reports):
             return 1

@@ -36,8 +36,6 @@ class SystemParams:
     r1: float = 1.0
     r2: float = 1.0
     r3: float = 1.0
-    sigma_sq: float = 1.0
-    t_total: float = 1.0
 
     def __post_init__(self):
         if not math.isfinite(self.rho) or self.rho < 0.0:
@@ -61,10 +59,6 @@ class SystemParams:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.v < 0.0:
             raise ValueError(f"v must be >= 0, got {self.v}")
-        if self.sigma_sq <= 0.0:
-            raise ValueError(f"sigma_sq must be > 0, got {self.sigma_sq}")
-        if self.t_total <= 0.0:
-            raise ValueError(f"t_total must be > 0, got {self.t_total}")
 
 
 @dataclass(frozen=True)
@@ -102,11 +96,16 @@ def variances_from_distances(params: SystemParams) -> ChannelVariances:
     """
     if params.d2 <= params.d1:
         raise ValueError(f"need d1 < d2, got d1={params.d1}, d2={params.d2}")
-    return ChannelVariances(
-        lambda_ccu=params.d1 ** -params.v,
-        lambda_ceu=params.d2 ** -params.v,
-        lambda_relay=(params.d2 - params.d1) ** -params.v,
-    )
+    try:
+        return ChannelVariances(
+            lambda_ccu=params.d1 ** -params.v,
+            lambda_ceu=params.d2 ** -params.v,
+            lambda_relay=(params.d2 - params.d1) ** -params.v,
+        )
+    except OverflowError:
+        raise ValueError(
+            f"path loss d^(-v) overflows at d1={params.d1}, d2={params.d2}, v={params.v}"
+        ) from None
 
 
 def sample_gains(

@@ -78,22 +78,7 @@ def _chunk_bounds(trials: int) -> list[tuple[int, int]]:
 
 def _run_chunk(params, varz, cfg, thr, lo, hi):
     g_ccu, g_ceu, g_relay = model.sample_gains(varz, cfg.seed, lo, hi)
-    return _kernels.accumulate_chunk(
-        g_ccu,
-        g_ceu,
-        g_relay,
-        params.rho,
-        params.p_n,
-        params.p_f,
-        params.p_total,
-        params.alpha,
-        params.delta,
-        params.eta,
-        thr.psi_r1,
-        thr.psi_r2,
-        thr.psi_r3,
-        cfg.protocol is Protocol.EHS_MRC,
-    )
+    return _kernels.accumulate_chunk(params, thr, cfg.protocol, g_ccu, g_ceu, g_relay)
 
 
 def _merge(a, b):

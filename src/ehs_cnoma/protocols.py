@@ -5,13 +5,18 @@ user during the time-switching phase and combines the far user's two copies
 of x3 by maximal ratio combining. The baseline (hs-sc) leaves that link
 idle and uses selection combining. Everything else, including harvesting,
 is shared.
+
+The physics takes gains as floats or as equal-length arrays, so the
+simulation kernel evaluates a whole chunk of trials through the same
+functions as the scalar API and gets the same value for every trial.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum, unique
+
+import numpy as np
 
 from .model import ChannelRealization, SystemParams
 
@@ -33,7 +38,10 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class LinkMetrics:
-    """All SINRs of one realization plus the relay transmit power."""
+    """All SINRs of one realization plus the relay transmit power.
+
+    Each field is an array when the gains were arrays.
+    """
 
     snr_x1_ceu: float
     sinr_x3_ccu: float
@@ -46,7 +54,7 @@ class LinkMetrics:
 
 @dataclass(frozen=True)
 class RealizationOutcome:
-    """Per-trial capacities, outage flags, harvested energy, relay power."""
+    """Per-trial capacities, outage flags and relay power."""
 
     c_x1: float
     c_x2: float
@@ -54,7 +62,6 @@ class RealizationOutcome:
     out_x1: bool
     out_x2_ccu: bool
     out_x3_ceu: bool
-    energy_harvested: float
     p_relay: float
 
 
@@ -69,7 +76,12 @@ def decode_threshold(rate: float, alpha: float) -> float:
         raise ValueError(f"rate must be > 0, got {rate}")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    return 2.0 ** (2.0 * rate / (1.0 - alpha)) - 1.0
+    try:
+        return 2.0 ** (2.0 * rate / (1.0 - alpha)) - 1.0
+    except OverflowError:
+        raise ValueError(
+            f"decode threshold 2^(2*rate/(1-alpha)) overflows at rate={rate}, alpha={alpha}"
+        ) from None
 
 
 def thresholds(params: SystemParams) -> Thresholds:
@@ -79,6 +91,11 @@ def thresholds(params: SystemParams) -> Thresholds:
         psi_r2=decode_threshold(params.r2, params.alpha),
         psi_r3=decode_threshold(params.r3, params.alpha),
     )
+
+
+def _relay_power(params: SystemParams, g_ccu):
+    coef = 2.0 * params.alpha / (1.0 - params.alpha) + params.delta
+    return params.eta * params.rho * coef * g_ccu
 
 
 def relay_power(params: SystemParams, g_ccu: float) -> float:
@@ -92,58 +109,52 @@ def relay_power(params: SystemParams, g_ccu: float) -> float:
         raise ValueError("alpha must be < 1")
     if g_ccu < 0.0:
         raise ValueError(f"g_ccu must be >= 0, got {g_ccu}")
-    coef = 2.0 * params.alpha / (1.0 - params.alpha) + params.delta
-    return params.eta * params.rho * coef * g_ccu
+    return _relay_power(params, g_ccu)
 
 
-def harvested_energy(params: SystemParams, g_ccu: float) -> float:
-    """Total energy harvested per block: relay power times the relay slot."""
-    return relay_power(params, g_ccu) * (1.0 - params.alpha) * params.t_total / 2.0
+def _link_metrics(params: SystemParams, g_ccu, g_ceu, g_relay, protocol: Protocol) -> LinkMetrics:
+    """SINRs of either protocol for gains given as floats or equal-length arrays.
 
-
-def ehs_link_metrics(params: SystemParams, real: ChannelRealization) -> LinkMetrics:
-    """SINRs of the enhanced hybrid protocol with maximal ratio combining.
-
-    The power-splitting factor scales signal and noise alike in the
-    near-user observations, so it cancels from both near-user SINRs.
+    The enhanced protocol sends x1 on the direct link and combines the far
+    user's two copies of x3 by maximal ratio combining; the baseline leaves
+    that link idle and selection-combines. The power-splitting factor
+    scales signal and noise alike in the near-user observations, so it
+    cancels from both near-user SINRs. The gains are not checked here.
     """
-    rg_ccu = params.rho * real.g_ccu
-    rg_ceu = params.rho * real.g_ceu
-    snr_x1 = rg_ceu * params.p_total
-    sinr_x3_ccu = params.p_f * rg_ccu / (params.p_n * rg_ccu + 1.0)
-    snr_x2 = params.p_n * rg_ccu
+    rg_ccu = params.rho * g_ccu
+    rg_ceu = params.rho * g_ceu
     sinr_x3_dir = params.p_f * rg_ceu / (params.p_n * rg_ceu + 1.0)
-    p_rel = relay_power(params, real.g_ccu)
-    snr_relay = p_rel * real.g_relay
+    p_rel = _relay_power(params, g_ccu)
+    snr_relay = p_rel * g_relay
+    if protocol is Protocol.EHS_MRC:
+        snr_x1 = rg_ceu * params.p_total
+        combined = sinr_x3_dir + snr_relay
+    else:
+        snr_x1 = 0.0
+        combined = np.maximum(sinr_x3_dir, snr_relay)
     return LinkMetrics(
         snr_x1_ceu=snr_x1,
-        sinr_x3_ccu=sinr_x3_ccu,
-        snr_x2_ccu=snr_x2,
+        sinr_x3_ccu=params.p_f * rg_ccu / (params.p_n * rg_ccu + 1.0),
+        snr_x2_ccu=params.p_n * rg_ccu,
         sinr_x3_ceu_direct=sinr_x3_dir,
         p_relay=p_rel,
         snr_x3_relay=snr_relay,
-        snr_x3_combined=sinr_x3_dir + snr_relay,
-    )
-
-
-def hs_link_metrics(params: SystemParams, real: ChannelRealization) -> LinkMetrics:
-    """Baseline SINRs: x1 link idle, selection combining for x3."""
-    ehs = ehs_link_metrics(params, real)
-    return LinkMetrics(
-        snr_x1_ceu=0.0,
-        sinr_x3_ccu=ehs.sinr_x3_ccu,
-        snr_x2_ccu=ehs.snr_x2_ccu,
-        sinr_x3_ceu_direct=ehs.sinr_x3_ceu_direct,
-        p_relay=ehs.p_relay,
-        snr_x3_relay=ehs.snr_x3_relay,
-        snr_x3_combined=max(ehs.sinr_x3_ceu_direct, ehs.snr_x3_relay),
+        snr_x3_combined=combined,
     )
 
 
 def link_metrics(params: SystemParams, real: ChannelRealization, protocol: Protocol) -> LinkMetrics:
-    if protocol is Protocol.EHS_MRC:
-        return ehs_link_metrics(params, real)
-    return hs_link_metrics(params, real)
+    return _link_metrics(params, real.g_ccu, real.g_ceu, real.g_relay, protocol)
+
+
+def ehs_link_metrics(params: SystemParams, real: ChannelRealization) -> LinkMetrics:
+    """SINRs of the enhanced hybrid protocol with maximal ratio combining."""
+    return link_metrics(params, real, Protocol.EHS_MRC)
+
+
+def hs_link_metrics(params: SystemParams, real: ChannelRealization) -> LinkMetrics:
+    """Baseline SINRs: x1 link idle, selection combining for x3."""
+    return link_metrics(params, real, Protocol.HS_SC)
 
 
 def instantaneous_capacities(
@@ -157,9 +168,9 @@ def instantaneous_capacities(
     if protocol is Protocol.HS_SC:
         c_x1 = 0.0
     else:
-        c_x1 = params.alpha * math.log2(1.0 + metrics.snr_x1_ceu)
-    c_x2 = half * math.log2(1.0 + metrics.snr_x2_ccu)
-    c_x3 = half * math.log2(1.0 + metrics.snr_x3_combined)
+        c_x1 = params.alpha * np.log2(1.0 + metrics.snr_x1_ceu)
+    c_x2 = half * np.log2(1.0 + metrics.snr_x2_ccu)
+    c_x3 = half * np.log2(1.0 + metrics.snr_x3_combined)
     return c_x1, c_x2, c_x3
 
 
@@ -173,9 +184,10 @@ def outage_flags(
     when the direct link alone clears the threshold. Equality with the
     threshold decodes (>= convention).
     """
-    ccu_ok = metrics.sinr_x3_ccu >= thr.psi_r3
-    out_x2 = not (ccu_ok and metrics.snr_x2_ccu >= thr.psi_r2)
-    out_x3 = not (ccu_ok and metrics.snr_x3_combined >= thr.psi_r3)
+    # ufuncs rather than `>=`, so `~` is a logical not on float inputs too
+    ccu_ok = np.greater_equal(metrics.sinr_x3_ccu, thr.psi_r3)
+    out_x2 = ~(ccu_ok & np.greater_equal(metrics.snr_x2_ccu, thr.psi_r2))
+    out_x3 = ~(ccu_ok & np.greater_equal(metrics.snr_x3_combined, thr.psi_r3))
     if protocol is Protocol.HS_SC:
         out_x1 = True  # x1 is never transmitted
     else:
@@ -186,17 +198,19 @@ def outage_flags(
 def realization_outcome(
     params: SystemParams, real: ChannelRealization, thr: Thresholds, protocol: Protocol
 ) -> RealizationOutcome:
-    """Full scalar outcome of one trial; the simulation kernels vectorize this."""
+    """Full scalar outcome of one trial.
+
+    The simulation kernel runs the same functions on a chunk of trials.
+    """
     metrics = link_metrics(params, real, protocol)
     c_x1, c_x2, c_x3 = instantaneous_capacities(params, metrics, protocol)
     out_x1, out_x2, out_x3 = outage_flags(params, metrics, thr, protocol)
     return RealizationOutcome(
-        c_x1=c_x1,
-        c_x2=c_x2,
-        c_x3=c_x3,
-        out_x1=out_x1,
-        out_x2_ccu=out_x2,
-        out_x3_ceu=out_x3,
-        energy_harvested=harvested_energy(params, real.g_ccu),
+        c_x1=float(c_x1),
+        c_x2=float(c_x2),
+        c_x3=float(c_x3),
+        out_x1=bool(out_x1),
+        out_x2_ccu=bool(out_x2),
+        out_x3_ceu=bool(out_x3),
         p_relay=metrics.p_relay,
     )

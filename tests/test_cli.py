@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -306,6 +307,22 @@ class TestMain:
     def test_bad_sweep_range_exits_two(self, capsys):
         assert main(["--start", "20", "--stop", "10"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["--sweep", "alpha", "--start", "0.999", "--stop", "0.999"], "alpha=0.999"),
+            (["--start", "4000", "--stop", "4000"], "snr_db=4000.0"),
+            (["--sweep", "d1", "--start", "1e-300", "--stop", "1e-300"], "d1=1e-300"),
+            (["--workers", "0"], "--workers"),
+            (["--workers", "-3"], "--workers"),
+        ],
+    )
+    def test_bad_input_exits_two_with_one_line(self, argv, fragment, capsys):
+        assert main(argv + ["--trials", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err
+
     def test_validate_passes(self, tmp_path, capsys):
         out = tmp_path / "v.csv"
         code = main(SMALL + ["--validate", "--trials", "20000", "--out", str(out)])
@@ -324,3 +341,24 @@ class TestMain:
         code = main(SMALL + ["--validate", "--out", str(out)])
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            # default SNR grid; 40000 trials span two chunks, so the merge runs
+            (["--trials", "40000"], "7bb739a24ea3aeabca8759f746a4e153c166c82202daa5ebaea6511d39276027"),
+            (
+                ["--sweep", "alpha", "--trials", "5000"],
+                "158e6c8fb20be60dff1c1498c1d544ae8c16a7445d18b0bcd2ab0c6d1e515338",
+            ),
+            (
+                ["--sweep", "d1", "--trials", "5000"],
+                "afb7127eb9017501bbdd6c0bd511ff8b399d8ed3f4fdde3ba4253e005c01d400",
+            ),
+        ],
+        ids=["snr", "alpha", "d1"],
+    )
+    def test_csv_bytes_pinned(self, argv, digest, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -62,8 +62,6 @@ class TestSystemParams:
             ({"d1": 1.0}, "d2"),
             ({"r2": 0.0}, "r2"),
             ({"v": -0.5}, "v"),
-            ({"sigma_sq": 0.0}, "sigma_sq"),
-            ({"t_total": 0.0}, "t_total"),
         ],
     )
     def test_validation_names_offending_field(self, overrides, fragment):

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-import ehs_cnoma._kernels
-from ehs_cnoma import analytic, model, montecarlo
-from ehs_cnoma._kernels import numpy_impl
+from ehs_cnoma import _kernels, analytic, model, montecarlo, protocols
 from ehs_cnoma.analytic import AnalyticReport, Exactness
+from ehs_cnoma.model import ChannelRealization
 from ehs_cnoma.montecarlo import CHUNK_TRIALS, EstimatorConfig, estimate_metrics
 from ehs_cnoma.protocols import Protocol, thresholds
 
@@ -20,49 +19,48 @@ def make_cfg(trials=100_000, seed=42, protocol=Protocol.EHS_MRC):
     return EstimatorConfig(trials=trials, seed=seed, protocol=protocol)
 
 
-def kernel_args(params, varz, cfg, lo, hi, ehs=True):
-    thr = thresholds(params)
+def chunk(params, varz, cfg, lo, hi, protocol=Protocol.EHS_MRC):
     g_ccu, g_ceu, g_relay = model.sample_gains(varz, cfg.seed, lo, hi)
-    return (
-        g_ccu,
-        g_ceu,
-        g_relay,
-        params.rho,
-        params.p_n,
-        params.p_f,
-        params.p_total,
-        params.alpha,
-        params.delta,
-        params.eta,
-        thr.psi_r1,
-        thr.psi_r2,
-        thr.psi_r3,
-        ehs,
-    )
+    return _kernels.accumulate_chunk(params, thresholds(params), protocol, g_ccu, g_ceu, g_relay)
 
 
 class TestKernels:
-    def test_backends_agree_on_shared_gains(self):
-        compiled = pytest.importorskip("ehs_cnoma._kernels._compiled")
-        params, varz = setup_point()
-        cfg = make_cfg(trials=CHUNK_TRIALS)
-        for ehs in (True, False):
-            args = kernel_args(params, varz, cfg, 0, CHUNK_TRIALS, ehs=ehs)
-            n_c, means_c, m2_c, com_c, counts_c = compiled.accumulate_chunk(*args)
-            n_p, means_p, m2_p, com_p, counts_p = numpy_impl.accumulate_chunk(*args)
-            assert n_c == n_p == CHUNK_TRIALS
-            # flags are pure comparisons on identically computed SINRs
-            assert np.array_equal(counts_c, counts_p)
-            assert means_c == pytest.approx(means_p, rel=1e-12)
-            assert m2_c == pytest.approx(m2_p, rel=1e-8)
-            assert com_c == pytest.approx(com_p, rel=1e-8)
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("snr_db", [0.0, 15.0, 30.0])
+    def test_kernel_matches_scalar_outcomes(self, protocol, snr_db):
+        params, varz = setup_point(rho=10.0 ** (snr_db / 10.0))
+        thr = thresholds(params)
+        gains = model.sample_gains(varz, 42, 0, CHUNK_TRIALS)
+        outcomes = [
+            protocols.realization_outcome(params, ChannelRealization(*map(float, g)), thr, protocol)
+            for g in zip(*gains)
+        ]
+        scalar = {
+            name: np.array([getattr(o, name) for o in outcomes])
+            for name in ("c_x1", "c_x2", "c_x3", "p_relay", "out_x1", "out_x2_ccu", "out_x3_ceu")
+        }
+        # the array physics agrees with the scalar API trial by trial
+        metrics = protocols._link_metrics(params, *gains, protocol)
+        caps = protocols.instantaneous_capacities(params, metrics, protocol)
+        flags = protocols.outage_flags(params, metrics, thr, protocol)
+        for name, value in zip(scalar, (*caps, metrics.p_relay, *flags)):
+            assert np.array_equal(np.broadcast_to(value, (CHUNK_TRIALS,)), scalar[name]), name
+        # and the chunk reduction is the plain mean and count of those values
+        n, means, m2, com, counts = _kernels.accumulate_chunk(params, thr, protocol, *gains)
+        esc = (scalar["c_x1"] + scalar["c_x2"]) + scalar["c_x3"]
+        assert n == CHUNK_TRIALS
+        columns = (scalar["c_x1"], scalar["c_x2"], scalar["c_x3"], esc, scalar["p_relay"])
+        assert means.tolist() == [column.mean() for column in columns]
+        assert counts.tolist() == [
+            np.count_nonzero(scalar[name]) for name in ("out_x1", "out_x2_ccu", "out_x3_ceu")
+        ]
 
     def test_merge_equals_single_pass(self):
         params, varz = setup_point()
         cfg = make_cfg(trials=1024)
-        full = numpy_impl.accumulate_chunk(*kernel_args(params, varz, cfg, 0, 1024))
-        part_a = numpy_impl.accumulate_chunk(*kernel_args(params, varz, cfg, 0, 400))
-        part_b = numpy_impl.accumulate_chunk(*kernel_args(params, varz, cfg, 400, 1024))
+        full = chunk(params, varz, cfg, 0, 1024)
+        part_a = chunk(params, varz, cfg, 0, 400)
+        part_b = chunk(params, varz, cfg, 400, 1024)
         n, means, m2, com, counts = montecarlo._merge(part_a, part_b)
         assert n == full[0]
         assert np.array_equal(counts, full[4])
@@ -73,8 +71,7 @@ class TestKernels:
     def test_baseline_flag_semantics(self):
         params, varz = setup_point()
         cfg = make_cfg(trials=4096)
-        args = kernel_args(params, varz, cfg, 0, 4096, ehs=False)
-        n, means, m2, com, counts = numpy_impl.accumulate_chunk(*args)
+        n, means, m2, com, counts = chunk(params, varz, cfg, 0, 4096, protocol=Protocol.HS_SC)
         assert counts[0] == n  # x1 never transmitted -> always in outage
         assert means[0] == 0.0  # and carries no capacity
 
@@ -92,22 +89,6 @@ class TestEstimates:
         serial = estimate_metrics(params, varz, cfg, workers=1)
         threaded = estimate_metrics(params, varz, cfg, workers=4)
         assert serial == threaded
-
-    def test_backend_choice_does_not_move_flags(self, monkeypatch):
-        params, varz = setup_point()
-        cfg = make_cfg(trials=80_000)
-        active = estimate_metrics(params, varz, cfg)
-        monkeypatch.setattr(
-            ehs_cnoma._kernels, "accumulate_chunk", numpy_impl.accumulate_chunk
-        )
-        fallback = estimate_metrics(params, varz, cfg)
-        for metric in ("op_x1", "op_x2_ccu", "op_x3_ceu"):
-            assert active[metric] == fallback[metric]
-        for metric in ("c_x1", "c_x2", "c_x3", "esc_total", "mean_p_relay", "ee"):
-            assert active[metric].mean == pytest.approx(fallback[metric].mean, rel=1e-12)
-            assert active[metric].std_error == pytest.approx(
-                fallback[metric].std_error, rel=1e-8
-            )
 
     def test_partial_and_multi_chunk_trial_counts(self):
         params, varz = setup_point()

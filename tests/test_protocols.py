@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -10,7 +9,6 @@ from ehs_cnoma.protocols import (
     Thresholds,
     decode_threshold,
     ehs_link_metrics,
-    harvested_energy,
     hs_link_metrics,
     instantaneous_capacities,
     link_metrics,
@@ -84,13 +82,6 @@ class TestHarvesting:
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):
             relay_power(make_params(), -0.1)
-
-    def test_harvested_energy(self):
-        params = make_params(rho=10.0)
-        assert harvested_energy(params, 1.0) == pytest.approx(8.1 * 0.7 / 2.0, abs=1e-12)
-        assert harvested_energy(params, 0.0) == 0.0
-        doubled = dataclasses.replace(params, t_total=2.0)
-        assert harvested_energy(doubled, 1.0) == 2.0 * harvested_energy(params, 1.0)
 
 
 class TestLinkMetrics:
@@ -239,4 +230,3 @@ class TestRealizationOutcome:
             assert (out.c_x1, out.c_x2, out.c_x3) == caps
             assert (out.out_x1, out.out_x2_ccu, out.out_x3_ceu) == flags
             assert out.p_relay == m.p_relay
-            assert out.energy_harvested == harvested_energy(params, real.g_ccu)
