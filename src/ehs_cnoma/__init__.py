@@ -9,11 +9,11 @@ leaves that link idle and selection-combines.
 
 The package computes ergodic sum capacity, per-symbol outage probability,
 and energy efficiency twice: by deterministic Monte-Carlo simulation over
-Rayleigh fading and by closed forms, and cross-validates the two.
+Rayleigh fading and by closed forms, and cross-validates the two. The
+command line and its sweep and CSV helpers live in ``ehs_cnoma.cli``.
 """
 
 from .analytic import AnalyticReport, Exactness
-from .cli import SweepRow, SweepSpec, main, parse_config, run_sweep, write_csv
 from .model import (
     ChannelRealization,
     ChannelVariances,
@@ -42,19 +42,13 @@ __all__ = [
     "LinkMetrics",
     "Protocol",
     "RealizationOutcome",
-    "SweepRow",
-    "SweepSpec",
     "SystemParams",
     "Thresholds",
     "ValidationReport",
     "compare_with_analytic",
     "estimate_metrics",
-    "main",
-    "parse_config",
-    "run_sweep",
     "sample_realization",
     "thresholds",
     "variances_from_distances",
-    "write_csv",
     "__version__",
 ]

@@ -9,67 +9,25 @@ from __future__ import annotations
 
 import numpy as np
 
-_M0 = np.uint64(0xD2E7470EE14C6C93)
-_M1 = np.uint64(0xCA5A826395121157)
-_WEYL0 = 0x9E3779B97F4A7C15
-_WEYL1 = 0xBB67AE8584CAA73B
-_MASK64 = (1 << 64) - 1
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SH32 = np.uint64(32)
 _SH11 = np.uint64(11)
 _INV53 = 1.0 / float(1 << 53)
-
-
-def _mulhilo(m, x):
-    # 64x64 -> 128 bit product out of 32-bit limbs; numpy has no u128
-    lo = m * x
-    mhi = m >> _SH32
-    mlo = m & _LOW32
-    xhi = x >> _SH32
-    xlo = x & _LOW32
-    lolo = mlo * xlo
-    mid1 = mhi * xlo
-    mid2 = mlo * xhi
-    carry = ((lolo >> _SH32) + (mid1 & _LOW32) + (mid2 & _LOW32)) >> _SH32
-    hi = mhi * xhi + (mid1 >> _SH32) + (mid2 >> _SH32) + carry
-    return hi, lo
-
-
-def raw_blocks(seed: int, start: int, stop: int) -> np.ndarray:
-    """Output words of blocks [start, stop) for key (seed, 0), as (n, 4) uint64.
-
-    Block index b is run with counter (b, 0, 0, 0); ten rounds with the
-    standard Weyl key schedule.
-    """
-    if stop < start:
-        raise ValueError(f"empty or inverted block range [{start}, {stop})")
-    c0 = np.arange(start, stop, dtype=np.uint64)
-    n = c0.shape[0]
-    c1 = np.zeros(n, dtype=np.uint64)
-    c2 = np.zeros(n, dtype=np.uint64)
-    c3 = np.zeros(n, dtype=np.uint64)
-    k0 = seed & _MASK64
-    k1 = 0
-    for rnd in range(10):
-        if rnd:
-            k0 = (k0 + _WEYL0) & _MASK64
-            k1 = (k1 + _WEYL1) & _MASK64
-        key0 = np.uint64(k0)
-        key1 = np.uint64(k1)
-        hi0, lo0 = _mulhilo(_M0, c0)
-        hi1, lo1 = _mulhilo(_M1, c2)
-        c0 = hi1 ^ c1 ^ key0
-        c1 = lo1
-        c2 = hi0 ^ c3 ^ key1
-        c3 = lo0
-    return np.stack([c0, c1, c2, c3], axis=1)
 
 
 def uniform_lanes(seed: int, start: int, stop: int, lanes: int = 3) -> np.ndarray:
     """Doubles in [0, 1) from output words 0..lanes-1 of blocks [start, stop).
 
+    Block b is numpy's Philox4x64-10 run with key (seed, 0) and counter b.
     Shape (n, lanes). Uses the top 53 bits of each word, so every value is
     exactly representable and strictly below 1.
     """
-    words = raw_blocks(seed, start, stop)[:, :lanes]
+    # numpy.random is not loaded by `import numpy`; importing it here keeps
+    # it off the package import path
+    from numpy.random import Philox
+
+    if stop < start:
+        raise ValueError(f"empty or inverted block range [{start}, {stop})")
+    n = stop - start
+    # the generator steps its counter before each block, so start one below
+    gen = Philox(key=seed, counter=(start - 1) % 2 ** 256)
+    words = gen.random_raw(4 * n).reshape(n, 4)[:, :lanes]
     return (words >> _SH11).astype(np.float64) * _INV53

@@ -12,6 +12,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import _kernels, analytic, model
 from .model import ChannelVariances, SystemParams
 from .protocols import Protocol, thresholds
@@ -43,6 +45,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,11 @@ def _chunk_bounds(trials: int) -> list[tuple[int, int]]:
 
 
 def _run_chunk(params, varz, cfg, thr, lo, hi):
-    g_ccu, g_ceu, g_relay = model.sample_gains(varz, cfg.seed, lo, hi)
-    return _kernels.accumulate_chunk(params, thr, cfg.protocol, g_ccu, g_ceu, g_relay)
+    # an overflow leaves a non-finite moment, which estimate_metrics reports
+    # as one error rather than as a stream of numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_ccu, g_ceu, g_relay = model.sample_gains(varz, cfg.seed, lo, hi)
+        return _kernels.accumulate_chunk(params, thr, cfg.protocol, g_ccu, g_ceu, g_relay)
 
 
 def _merge(a, b):
@@ -151,6 +158,12 @@ def estimate_metrics(
     for part in parts[1:]:
         total = _merge(total, part)
     n, means, m2, com, counts = total
+    if not (np.isfinite(means).all() and np.isfinite(m2).all() and math.isfinite(com)):
+        snr_db = 10.0 * math.log10(params.rho) if params.rho > 0.0 else -math.inf
+        raise ValueError(
+            f"simulated moments overflow at snr_db={snr_db:.6g} (rho={params.rho:.6g}) with "
+            f"gain variances ({varz.lambda_ccu:.6g}, {varz.lambda_ceu:.6g}, {varz.lambda_relay:.6g})"
+        )
 
     out: dict[str, Estimate] = {}
     for metric, idx in _CONT_INDEX.items():

@@ -144,17 +144,8 @@ def _link_metrics(params: SystemParams, g_ccu, g_ceu, g_relay, protocol: Protoco
 
 
 def link_metrics(params: SystemParams, real: ChannelRealization, protocol: Protocol) -> LinkMetrics:
+    """SINRs and relay power of one realization under either protocol."""
     return _link_metrics(params, real.g_ccu, real.g_ceu, real.g_relay, protocol)
-
-
-def ehs_link_metrics(params: SystemParams, real: ChannelRealization) -> LinkMetrics:
-    """SINRs of the enhanced hybrid protocol with maximal ratio combining."""
-    return link_metrics(params, real, Protocol.EHS_MRC)
-
-
-def hs_link_metrics(params: SystemParams, real: ChannelRealization) -> LinkMetrics:
-    """Baseline SINRs: x1 link idle, selection combining for x3."""
-    return link_metrics(params, real, Protocol.HS_SC)
 
 
 def instantaneous_capacities(

@@ -49,6 +49,26 @@ def expected_log1p_exponential(scale):
     return val
 
 
+def philox4x64_10(seed, block):
+    """Four output words of Philox4x64-10 (Salmon et al., SC'11).
+
+    Key (seed, 0), counter block mod 2^256 split into four 64-bit words,
+    ten rounds with the Weyl key schedule. Python ints make the 64x64 ->
+    128 bit product a plain multiplication.
+    """
+    mask = (1 << 64) - 1
+    block %= 1 << 256
+    c = [(block >> (64 * i)) & mask for i in range(4)]
+    k0, k1 = seed, 0
+    for _ in range(10):
+        p0 = 0xD2E7470EE14C6C93 * c[0]
+        p1 = 0xCA5A826395121157 * c[2]
+        c = [(p1 >> 64) ^ c[1] ^ k0, p1 & mask, (p0 >> 64) ^ c[3] ^ k1, p0 & mask]
+        k0 = (k0 + 0x9E3779B97F4A7C15) & mask
+        k1 = (k1 + 0xBB67AE8584CAA73B) & mask
+    return c
+
+
 def ks_statistic_exponential(samples, lam):
     """Kolmogorov-Smirnov distance of samples against Exp(mean=lam)."""
     s = np.sort(np.asarray(samples, dtype=np.float64))

@@ -1,6 +1,10 @@
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -307,6 +311,9 @@ class TestMain:
     def test_bad_sweep_range_exits_two(self, capsys):
         assert main(["--start", "20", "--stop", "10"]) == 2
 
+    # numpy floating-point warnings would be extra stderr lines, so any
+    # warning fails the test
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "argv, fragment",
         [
@@ -315,6 +322,10 @@ class TestMain:
             (["--sweep", "d1", "--start", "1e-300", "--stop", "1e-300"], "d1=1e-300"),
             (["--workers", "0"], "--workers"),
             (["--workers", "-3"], "--workers"),
+            (["--seed", "-1"], "seed"),
+            (["--seed", str(2 ** 64)], "seed"),
+            (["--start", "2000", "--stop", "2000"], "snr_db=2000 (rho=1e+200)"),
+            (["--start", "3080", "--stop", "3080"], "snr_db=3080 (rho=1e+308)"),
         ],
     )
     def test_bad_input_exits_two_with_one_line(self, argv, fragment, capsys):
@@ -322,6 +333,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert fragment in err
+
+    def test_module_entry_point_and_light_package_import(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-m", "ehs_cnoma.cli", "--trials", "10", "--start", "0", "--stop", "0"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert run.stdout.startswith(cli.CSV_HEADER)
+        assert run.stderr == ""
+        probe = "import sys, ehs_cnoma; print('numpy.random' in sys.modules, 'ehs_cnoma.cli' in sys.modules)"
+        run = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.split() == ["False", "False"]
 
     def test_validate_passes(self, tmp_path, capsys):
         out = tmp_path / "v.csv"

@@ -6,8 +6,8 @@ import pytest
 from numpy.random import Generator, Philox
 
 from ehs_cnoma import model
-from ehs_cnoma._philox import raw_blocks, uniform_lanes
-from oracles import ks_statistic_exponential
+from ehs_cnoma._philox import uniform_lanes
+from oracles import ks_statistic_exponential, philox4x64_10
 
 
 def make_params(**overrides):
@@ -77,13 +77,17 @@ class TestSystemParams:
 
 
 class TestCounterStream:
-    @pytest.mark.parametrize("seed", [0, 42, 2 ** 63 + 12345])
+    @pytest.mark.parametrize("seed", [0, 42, 2 ** 63 + 12345, 2 ** 64 - 1])
     def test_raw_blocks_match_reference_generator(self, seed):
-        # the reference bit generator steps its counter before each block,
-        # so its first output block corresponds to counter value 1
-        mine = raw_blocks(seed, 1, 9)
-        ref = Philox(key=seed).random_raw(32).reshape(8, 4)
-        assert np.array_equal(mine, ref)
+        # the oracle is an independent Philox4x64-10; block 0 checks the
+        # counter wrap from 2^256 - 1 and 32767/32768 the chunk seam
+        for start in (0, 1, 32767, 32768):
+            mine = uniform_lanes(seed, start, start + 3, lanes=4)
+            ref = [
+                [(w >> 11) * 2.0 ** -53 for w in philox4x64_10(seed, b)]
+                for b in range(start, start + 3)
+            ]
+            assert np.array_equal(mine, ref), start
 
     def test_uniform_lanes_match_reference_doubles(self):
         ref = Generator(Philox(key=42)).random(12)
@@ -100,7 +104,7 @@ class TestCounterStream:
 
     def test_inverted_range_rejected(self):
         with pytest.raises(ValueError):
-            raw_blocks(1, 10, 5)
+            uniform_lanes(1, 10, 5)
 
 
 class TestSampler:

@@ -8,8 +8,6 @@ from ehs_cnoma.protocols import (
     Protocol,
     Thresholds,
     decode_threshold,
-    ehs_link_metrics,
-    hs_link_metrics,
     instantaneous_capacities,
     link_metrics,
     outage_flags,
@@ -87,7 +85,7 @@ class TestHarvesting:
 class TestLinkMetrics:
     def test_enhanced_worked_example(self):
         params = make_params(rho=10.0)
-        m = ehs_link_metrics(params, ChannelRealization(1.0, 1.0, 0.5))
+        m = link_metrics(params, ChannelRealization(1.0, 1.0, 0.5), Protocol.EHS_MRC)
         assert m.snr_x1_ceu == pytest.approx(10.0, rel=1e-15)
         assert m.sinr_x3_ccu == pytest.approx(4.5, rel=1e-15)
         assert m.snr_x2_ccu == pytest.approx(1.0, rel=1e-15)
@@ -98,8 +96,8 @@ class TestLinkMetrics:
 
     def test_sic_interference_ceiling(self):
         params = make_params()
-        weak = ehs_link_metrics(params, ChannelRealization(1.0, 1.0, 1.0))
-        strong = ehs_link_metrics(params, ChannelRealization(1e12, 1.0, 1.0))
+        weak = link_metrics(params, ChannelRealization(1.0, 1.0, 1.0), Protocol.EHS_MRC)
+        strong = link_metrics(params, ChannelRealization(1e12, 1.0, 1.0), Protocol.EHS_MRC)
         ceiling = params.p_f / params.p_n
         assert weak.sinr_x3_ccu < strong.sinr_x3_ccu < ceiling
         assert strong.sinr_x3_ccu > ceiling - 1e-6
@@ -107,8 +105,8 @@ class TestLinkMetrics:
     def test_baseline_shares_everything_but_combining(self):
         params = make_params(rho=10.0)
         real = ChannelRealization(1.0, 1.0, 0.5)
-        ehs = ehs_link_metrics(params, real)
-        hs = hs_link_metrics(params, real)
+        ehs = link_metrics(params, real, Protocol.EHS_MRC)
+        hs = link_metrics(params, real, Protocol.HS_SC)
         assert hs.snr_x1_ceu == 0.0
         assert hs.sinr_x3_ccu == ehs.sinr_x3_ccu
         assert hs.snr_x2_ccu == ehs.snr_x2_ccu
@@ -118,16 +116,10 @@ class TestLinkMetrics:
         assert hs.snr_x3_combined == max(ehs.sinr_x3_ceu_direct, ehs.snr_x3_relay)
         assert hs.snr_x3_combined <= ehs.snr_x3_combined
 
-    def test_dispatch(self):
-        params = make_params()
-        real = ChannelRealization(0.7, 1.1, 0.4)
-        assert link_metrics(params, real, Protocol.EHS_MRC) == ehs_link_metrics(params, real)
-        assert link_metrics(params, real, Protocol.HS_SC) == hs_link_metrics(params, real)
-
     def test_power_split_changes_relay_branch_only(self):
         real = ChannelRealization(1.0, 1.0, 1.0)
-        low = ehs_link_metrics(make_params(delta=0.1), real)
-        high = ehs_link_metrics(make_params(delta=0.9), real)
+        low = link_metrics(make_params(delta=0.1), real, Protocol.EHS_MRC)
+        high = link_metrics(make_params(delta=0.9), real, Protocol.EHS_MRC)
         assert low.sinr_x3_ccu == high.sinr_x3_ccu
         assert low.snr_x2_ccu == high.snr_x2_ccu
         assert low.snr_x1_ceu == high.snr_x1_ceu
@@ -160,7 +152,7 @@ class TestCapacities:
         prev = (0.0, 0.0, 0.0)
         for rho in (0.5, 2.0, 10.0, 50.0):
             params = make_params(rho=rho)
-            m = ehs_link_metrics(params, real)
+            m = link_metrics(params, real, Protocol.EHS_MRC)
             caps = instantaneous_capacities(params, m, Protocol.EHS_MRC)
             assert all(c >= p for c, p in zip(caps, prev))
             prev = caps
