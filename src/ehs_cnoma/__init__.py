@@ -14,13 +14,7 @@ command line and its sweep and CSV helpers live in ``ehs_cnoma.cli``.
 """
 
 from .analytic import AnalyticReport, Exactness
-from .model import (
-    ChannelRealization,
-    ChannelVariances,
-    SystemParams,
-    sample_realization,
-    variances_from_distances,
-)
+from .model import ChannelVariances, SystemParams, variances_from_distances
 from .montecarlo import (
     Estimate,
     EstimatorConfig,
@@ -28,26 +22,23 @@ from .montecarlo import (
     compare_with_analytic,
     estimate_metrics,
 )
-from .protocols import LinkMetrics, Protocol, RealizationOutcome, Thresholds, thresholds
+from .protocols import LinkMetrics, Protocol, Thresholds, thresholds
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticReport",
-    "ChannelRealization",
     "ChannelVariances",
     "Estimate",
     "EstimatorConfig",
     "Exactness",
     "LinkMetrics",
     "Protocol",
-    "RealizationOutcome",
     "SystemParams",
     "Thresholds",
     "ValidationReport",
     "compare_with_analytic",
     "estimate_metrics",
-    "sample_realization",
     "thresholds",
     "variances_from_distances",
     "__version__",

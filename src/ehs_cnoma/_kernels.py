@@ -24,7 +24,7 @@ def accumulate_chunk(
     form over the chunk.
     """
     n = g_ccu.shape[0]
-    metrics = protocols._link_metrics(params, g_ccu, g_ceu, g_relay, protocol)
+    metrics = protocols.link_metrics(params, g_ccu, g_ceu, g_relay, protocol)
     c_x1, c_x2, c_x3 = protocols.instantaneous_capacities(params, metrics, protocol)
     flags = protocols.outage_flags(params, metrics, thr, protocol)
     esc = (c_x1 + c_x2) + c_x3

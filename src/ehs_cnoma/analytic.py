@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 
 from .model import ChannelVariances, SystemParams
-from .protocols import Protocol, Thresholds, thresholds
+from .protocols import Protocol, Thresholds, harvest_factor, thresholds
 from .specfun import neg_ei_exp
 
 _LN2 = math.log(2.0)
@@ -50,11 +50,10 @@ class ErgodicTerms:
 
 
 def ergodic_terms(params: SystemParams, varz: ChannelVariances) -> ErgodicTerms:
-    coef = 2.0 * params.alpha / (1.0 - params.alpha) + params.delta
     return ErgodicTerms(
         g=varz.lambda_ceu * params.rho * params.p_total,
         q=varz.lambda_ccu * params.rho * params.p_n,
-        r=params.eta * params.rho * varz.lambda_ceu * coef,
+        r=params.eta * params.rho * varz.lambda_ceu * harvest_factor(params),
         z=params.p_n / params.p_f,
         s=varz.lambda_relay,
     )
@@ -141,7 +140,7 @@ def op_ceu_x3(params: SystemParams, varz: ChannelVariances, thr: Thresholds) -> 
     product of the two relay-path variances times the harvesting factor.
     """
     b = params.p_f / (params.p_f + params.p_n)
-    coef = 2.0 * params.alpha / (1.0 - params.alpha) + params.delta
+    coef = harvest_factor(params)
     t1 = b * (1.0 - _exp_neg_ratio(thr.psi_r3, params.rho * varz.lambda_ceu * params.p_f))
     t2 = 1.0 - _exp_neg_ratio(
         thr.psi_r3, params.rho * varz.lambda_ccu * varz.lambda_relay * params.eta * coef
@@ -151,8 +150,24 @@ def op_ceu_x3(params: SystemParams, varz: ChannelVariances, thr: Thresholds) -> 
 
 def mean_relay_power(params: SystemParams, varz: ChannelVariances) -> float:
     """Expected relay transmit power over the fading distribution."""
-    coef = 2.0 * params.alpha / (1.0 - params.alpha) + params.delta
-    return params.eta * params.rho * varz.lambda_ccu * coef
+    return params.eta * params.rho * varz.lambda_ccu * harvest_factor(params)
+
+
+def _describe_point(params: SystemParams, varz: ChannelVariances) -> str:
+    """The operating point as error messages name it: SNR and gain variances."""
+    snr_db = 10.0 * math.log10(params.rho) if params.rho > 0.0 else -math.inf
+    return (
+        f"snr_db={snr_db:.6g} (rho={params.rho:.6g}) with gain variances "
+        f"({varz.lambda_ccu:.6g}, {varz.lambda_ceu:.6g}, {varz.lambda_relay:.6g})"
+    )
+
+
+def _undefined_ee(params: SystemParams, varz: ChannelVariances, mean_p_relay: float) -> ValueError:
+    """The one error for an energy efficiency that has no finite value."""
+    return ValueError(
+        f"energy efficiency undefined at {_describe_point(params, varz)}: "
+        f"mean relay power is {mean_p_relay:.6g}"
+    )
 
 
 def energy_efficiency(params: SystemParams, varz: ChannelVariances, esc: float) -> float:
@@ -160,8 +175,8 @@ def energy_efficiency(params: SystemParams, varz: ChannelVariances, esc: float) 
     if esc < 0.0:
         raise ValueError(f"esc must be >= 0, got {esc}")
     denom = mean_relay_power(params, varz)
-    if denom == 0.0:
-        raise ValueError("energy efficiency undefined: mean relay power is zero")
+    if denom == 0.0 or not math.isfinite(esc / denom):
+        raise _undefined_ee(params, varz, denom)
     return esc / denom
 
 

@@ -152,39 +152,11 @@ def parse_config(text: str) -> tuple[SystemParams, EstimatorConfig]:
     return params, cfg
 
 
-def render_config(params: SystemParams, cfg: EstimatorConfig) -> str:
-    """Emit config text that parse_config maps back to the same objects."""
-    values = {
-        "snr_db": linear_to_db(params.rho),
-        "alpha": params.alpha,
-        "delta": params.delta,
-        "eta": params.eta,
-        "v": params.v,
-        "d1": params.d1,
-        "d2": params.d2,
-        "p_n": params.p_n,
-        "p_f": params.p_f,
-        "p_total": params.p_total,
-        "r1": params.r1,
-        "r2": params.r2,
-        "r3": params.r3,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-    }
-    return "".join(f"{key} = {value!r}\n" for key, value in values.items())
-
-
 def db_to_linear(snr_db: float) -> float:
     try:
         return 10.0 ** (snr_db / 10.0)
     except OverflowError:
         raise ValueError(f"snr_db={snr_db} overflows 10^(snr_db/10)") from None
-
-
-def linear_to_db(rho: float) -> float:
-    if rho <= 0.0:
-        raise ValueError(f"rho must be > 0 to express in dB, got {rho}")
-    return 10.0 * math.log10(rho)
 
 
 def _point_params(spec: SweepSpec, params: SystemParams, value: float) -> SystemParams:
@@ -345,8 +317,13 @@ def _print_validation(reports) -> bool:
 
 
 def main(argv=None) -> int:
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        # argparse stores `--opt=--` as an empty list, unconverted and unchecked
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                parser.error(f"argument --{name}: expected one argument")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 
@@ -383,6 +360,13 @@ def main(argv=None) -> int:
             metrics=metrics,
         )
         rows = run_sweep(spec, params, cfg, workers=args.workers)
+        reports = []
+        if args.validate:
+            varz = model.variances_from_distances(params)
+            reports = [
+                montecarlo.compare_with_analytic(params, varz, cfg, p, workers=args.workers)
+                for p in protocols
+            ]
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -393,15 +377,7 @@ def main(argv=None) -> int:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
-    if args.validate:
-        varz = model.variances_from_distances(params)
-        reports = [
-            montecarlo.compare_with_analytic(params, varz, cfg, p, workers=args.workers)
-            for p in protocols
-        ]
-        if _print_validation(reports):
-            return 1
-    return 0
+    return 1 if _print_validation(reports) else 0
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,8 +38,11 @@ class SystemParams:
     r3: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.rho) or self.rho < 0.0:
-            raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite, got {getattr(self, field.name)}")
+        if self.rho < 0.0:
+            raise ValueError(f"rho must be >= 0, got {self.rho}")
         if not 0.0 < self.p_n < self.p_f:
             raise ValueError(f"need 0 < p_n < p_f, got p_n={self.p_n}, p_f={self.p_f}")
         if not math.isclose(self.p_n + self.p_f, self.p_total, rel_tol=1e-12, abs_tol=1e-12):
@@ -55,7 +58,7 @@ class SystemParams:
         if not 0.0 < self.d1 < self.d2:
             raise ValueError(f"need 0 < d1 < d2, got d1={self.d1}, d2={self.d2}")
         for name in ("r1", "r2", "r3"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.v < 0.0:
             raise ValueError(f"v must be >= 0, got {self.v}")
@@ -71,22 +74,9 @@ class ChannelVariances:
 
     def __post_init__(self):
         for name in ("lambda_ccu", "lambda_ceu", "lambda_relay"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of the squared gains: near-user, far-user, relay link."""
-
-    g_ccu: float
-    g_ceu: float
-    g_relay: float
-
-    def __post_init__(self):
-        for name in ("g_ccu", "g_ceu", "g_relay"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def variances_from_distances(params: SystemParams) -> ChannelVariances:
@@ -102,9 +92,9 @@ def variances_from_distances(params: SystemParams) -> ChannelVariances:
             lambda_ceu=params.d2 ** -params.v,
             lambda_relay=(params.d2 - params.d1) ** -params.v,
         )
-    except OverflowError:
+    except (OverflowError, ValueError):
         raise ValueError(
-            f"path loss d^(-v) overflows at d1={params.d1}, d2={params.d2}, v={params.v}"
+            f"path loss d^(-v) leaves (0, inf) at d1={params.d1}, d2={params.d2}, v={params.v}"
         ) from None
 
 
@@ -123,11 +113,3 @@ def sample_gains(
         -varz.lambda_ceu * np.log1p(-u[:, 1]),
         -varz.lambda_relay * np.log1p(-u[:, 2]),
     )
-
-
-def sample_realization(varz: ChannelVariances, seed: int, trial_index: int) -> ChannelRealization:
-    """Draw the three squared gains for one trial, bit-reproducibly."""
-    if trial_index < 0:
-        raise ValueError(f"trial_index must be >= 0, got {trial_index}")
-    g_ccu, g_ceu, g_relay = sample_gains(varz, seed, trial_index, trial_index + 1)
-    return ChannelRealization(float(g_ccu[0]), float(g_ceu[0]), float(g_relay[0]))

@@ -119,6 +119,7 @@ def _flag_estimate(n, counts, idx) -> Estimate:
 
 
 def _ratio_estimate(n, means, m2, com) -> Estimate:
+    # nan or inf where the ratio is undefined, which estimate_metrics reports
     mean_esc = float(means[3])
     mean_p = float(means[4])
     if mean_p == 0.0:
@@ -130,7 +131,8 @@ def _ratio_estimate(n, means, m2, com) -> Estimate:
     var_p = m2[4] / (n - 1)
     cov = com / (n - 1)
     # first-order variance of a ratio of sample means
-    var_ratio = (var_esc - 2.0 * ratio * cov + ratio * ratio * var_p) / (mean_p * mean_p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var_ratio = (var_esc - 2.0 * ratio * cov + ratio * ratio * var_p) / (mean_p * mean_p)
     return Estimate(ratio, math.sqrt(max(var_ratio, 0.0) / n), n)
 
 
@@ -160,18 +162,17 @@ def estimate_metrics(
         total = _merge(total, part)
     n, means, m2, com, counts = total
     if not (np.isfinite(means).all() and np.isfinite(m2).all() and math.isfinite(com)):
-        snr_db = 10.0 * math.log10(params.rho) if params.rho > 0.0 else -math.inf
-        raise ValueError(
-            f"simulated moments overflow at snr_db={snr_db:.6g} (rho={params.rho:.6g}) with "
-            f"gain variances ({varz.lambda_ccu:.6g}, {varz.lambda_ceu:.6g}, {varz.lambda_relay:.6g})"
-        )
+        raise ValueError(f"simulated moments overflow at {analytic._describe_point(params, varz)}")
+    ee = _ratio_estimate(n, means, m2, com)
+    if not (math.isfinite(ee.mean) and math.isfinite(ee.std_error)):
+        raise analytic._undefined_ee(params, varz, float(means[4]))
 
     out: dict[str, Estimate] = {}
     for metric, idx in _CONT_INDEX.items():
         out[metric] = _continuous_estimate(n, means, m2, idx)
     for metric, idx in _FLAG_INDEX.items():
         out[metric] = _flag_estimate(n, counts, idx)
-    out["ee"] = _ratio_estimate(n, means, m2, com)
+    out["ee"] = ee
     return out
 
 

@@ -6,9 +6,9 @@ of x3 by maximal ratio combining. The baseline (hs-sc) leaves that link
 idle and uses selection combining. Everything else, including harvesting,
 is shared.
 
-The physics takes gains as floats or as equal-length arrays, so the
+The physics takes gains as floats or as equal-length arrays: the
 simulation kernel evaluates a whole chunk of trials through the same
-functions as the scalar API and gets the same value for every trial.
+functions that a caller runs on one trial's float gains.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from enum import Enum, unique
 
 import numpy as np
 
-from .model import ChannelRealization, SystemParams
+from .model import SystemParams
 
 
 @unique
@@ -52,19 +52,6 @@ class LinkMetrics:
     snr_x3_combined: float
 
 
-@dataclass(frozen=True)
-class RealizationOutcome:
-    """Per-trial capacities, outage flags and relay power."""
-
-    c_x1: float
-    c_x2: float
-    c_x3: float
-    out_x1: bool
-    out_x2_ccu: bool
-    out_x3_ceu: bool
-    p_relay: float
-
-
 def decode_threshold(rate: float, alpha: float) -> float:
     """2^(2*rate/(1-alpha)) - 1, the payload-phase decode threshold.
 
@@ -93,26 +80,23 @@ def thresholds(params: SystemParams) -> Thresholds:
     )
 
 
-def _relay_power(params: SystemParams, g_ccu):
-    coef = 2.0 * params.alpha / (1.0 - params.alpha) + params.delta
-    return params.eta * params.rho * coef * g_ccu
+def harvest_factor(params: SystemParams) -> float:
+    """2*alpha/(1-alpha) + delta, shared by the relay power and the closed forms."""
+    return 2.0 * params.alpha / (1.0 - params.alpha) + params.delta
 
 
-def relay_power(params: SystemParams, g_ccu: float) -> float:
+def relay_power(params: SystemParams, g_ccu):
     """Relay transmit power funded by both harvesting phases.
 
     eta*rho*g_ccu*(2*alpha/(1-alpha) + delta): the time-switching slot
     contributes 2*alpha/(1-alpha) (its energy is spent over the relaying
-    half-slot), the power-splitting fraction contributes delta.
+    half-slot), the power-splitting fraction contributes delta. The gain
+    may be a float or an array and is not checked here.
     """
-    if params.alpha >= 1.0:
-        raise ValueError("alpha must be < 1")
-    if g_ccu < 0.0:
-        raise ValueError(f"g_ccu must be >= 0, got {g_ccu}")
-    return _relay_power(params, g_ccu)
+    return params.eta * params.rho * harvest_factor(params) * g_ccu
 
 
-def _link_metrics(params: SystemParams, g_ccu, g_ceu, g_relay, protocol: Protocol) -> LinkMetrics:
+def link_metrics(params: SystemParams, g_ccu, g_ceu, g_relay, protocol: Protocol) -> LinkMetrics:
     """SINRs of either protocol for gains given as floats or equal-length arrays.
 
     The enhanced protocol sends x1 on the direct link and combines the far
@@ -124,7 +108,7 @@ def _link_metrics(params: SystemParams, g_ccu, g_ceu, g_relay, protocol: Protoco
     rg_ccu = params.rho * g_ccu
     rg_ceu = params.rho * g_ceu
     sinr_x3_dir = params.p_f * rg_ceu / (params.p_n * rg_ceu + 1.0)
-    p_rel = _relay_power(params, g_ccu)
+    p_rel = relay_power(params, g_ccu)
     snr_relay = p_rel * g_relay
     if protocol is Protocol.EHS_MRC:
         snr_x1 = rg_ceu * params.p_total
@@ -141,11 +125,6 @@ def _link_metrics(params: SystemParams, g_ccu, g_ceu, g_relay, protocol: Protoco
         snr_x3_relay=snr_relay,
         snr_x3_combined=combined,
     )
-
-
-def link_metrics(params: SystemParams, real: ChannelRealization, protocol: Protocol) -> LinkMetrics:
-    """SINRs and relay power of one realization under either protocol."""
-    return _link_metrics(params, real.g_ccu, real.g_ceu, real.g_relay, protocol)
 
 
 def instantaneous_capacities(
@@ -184,24 +163,3 @@ def outage_flags(
     else:
         out_x1 = metrics.snr_x1_ceu < thr.psi_r1
     return out_x1, out_x2, out_x3
-
-
-def realization_outcome(
-    params: SystemParams, real: ChannelRealization, thr: Thresholds, protocol: Protocol
-) -> RealizationOutcome:
-    """Full scalar outcome of one trial.
-
-    The simulation kernel runs the same functions on a chunk of trials.
-    """
-    metrics = link_metrics(params, real, protocol)
-    c_x1, c_x2, c_x3 = instantaneous_capacities(params, metrics, protocol)
-    out_x1, out_x2, out_x3 = outage_flags(params, metrics, thr, protocol)
-    return RealizationOutcome(
-        c_x1=float(c_x1),
-        c_x2=float(c_x2),
-        c_x3=float(c_x3),
-        out_x1=bool(out_x1),
-        out_x2_ccu=bool(out_x2),
-        out_x3_ceu=bool(out_x3),
-        p_relay=metrics.p_relay,
-    )

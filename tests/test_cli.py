@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import math
@@ -14,10 +15,8 @@ from ehs_cnoma.cli import (
     ConfigError,
     SweepSpec,
     db_to_linear,
-    linear_to_db,
     main,
     parse_config,
-    render_config,
     run_sweep,
     write_csv,
 )
@@ -28,15 +27,11 @@ SMALL = ["--trials", "2000", "--stop", "5.0"]
 
 
 class TestDbConversion:
-    def test_round_trip_on_grid(self):
-        for snr_db in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 7.5):
-            assert linear_to_db(db_to_linear(snr_db)) == snr_db
-
     def test_values(self):
         assert db_to_linear(0.0) == 1.0
         assert db_to_linear(10.0) == 10.0
-        with pytest.raises(ValueError):
-            linear_to_db(0.0)
+        with pytest.raises(ValueError, match="snr_db=4000"):
+            db_to_linear(4000.0)
 
 
 class TestParseConfig:
@@ -81,20 +76,49 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="trials"):
             parse_config("trials = 0")
 
-    def test_render_round_trip(self):
-        cases = [
-            (model.SystemParams(rho=10.0 ** 1.5), EstimatorConfig(100_000, 42)),
-            (
-                model.SystemParams(
-                    rho=db_to_linear(7.5), alpha=0.45, delta=0.2, eta=0.55, d1=0.35
-                ),
-                EstimatorConfig(5000, 7),
-            ),
-        ]
-        for params, cfg in cases:
-            parsed_params, parsed_cfg = parse_config(render_config(params, cfg))
-            assert parsed_params == params
-            assert parsed_cfg == cfg
+    def test_every_key_reaches_its_field(self):
+        text = "\n".join(
+            [
+                "snr_db = 7.5",
+                "alpha = 0.45",
+                "delta = 0.2",
+                "eta = 0.55",
+                "v = 3.0",
+                "d1 = 0.35",
+                "d2 = 1.5",
+                "p_n = 0.15",
+                "p_f = 0.6",
+                "p_total = 0.75",
+                "r1 = 0.5",
+                "r2 = 1.5",
+                "r3 = 0.75",
+                "trials = 5000",
+                "seed = 7",
+            ]
+        )
+        expected_params = model.SystemParams(
+            rho=db_to_linear(7.5),
+            alpha=0.45,
+            delta=0.2,
+            eta=0.55,
+            v=3.0,
+            d1=0.35,
+            d2=1.5,
+            p_n=0.15,
+            p_f=0.6,
+            p_total=0.75,
+            r1=0.5,
+            r2=1.5,
+            r3=0.75,
+        )
+        expected_cfg = EstimatorConfig(trials=5000, seed=7)
+        defaults, default_cfg = parse_config("")
+        for field in dataclasses.fields(expected_params):
+            name = field.name
+            assert getattr(expected_params, name) != getattr(defaults, name), name
+        assert expected_cfg.trials != default_cfg.trials
+        assert expected_cfg.seed != default_cfg.seed
+        assert parse_config(text) == (expected_params, expected_cfg)
 
 
 class TestSweepSpec:
@@ -297,6 +321,13 @@ class TestMain:
         assert main(["--no-such-flag"]) == 2
         assert main(["--sweep", "bogus"]) == 2
 
+    @pytest.mark.parametrize("option", ["--trials", "--start", "--sweep", "--config", "--out"])
+    def test_double_dash_value_exits_two(self, option, capsys):
+        assert main([f"{option}=--"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"argument {option}: expected one argument" in err
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "absent.conf")]) == 2
         assert "cannot read config" in capsys.readouterr().err
@@ -334,6 +365,39 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert fragment in err
+
+    @pytest.mark.parametrize(
+        "config, argv, fragment",
+        [
+            ("r1 = nan", ["--stop", "0"], "r1 must be finite, got nan"),
+            ("v = nan", ["--stop", "0"], "v must be finite, got nan"),
+            ("p_f = inf\np_total = inf", ["--stop", "0"], "p_f must be finite, got inf"),
+            # a subnormal eta leaves a relay power whose ratio overflows
+            ("eta = 1e-320", ["--stop", "0"], "energy efficiency undefined at snr_db=0"),
+            (
+                "snr_db = -inf",
+                ["--sweep", "alpha", "--start", "0.3", "--stop", "0.3", "--protocol", "hs-sc"],
+                "energy efficiency undefined at snr_db=-inf (rho=0)",
+            ),
+            (
+                "snr_db = -inf",
+                ["--sweep", "alpha", "--start", "0.3", "--stop", "0.3", "--protocol", "ehs-mrc"],
+                "energy efficiency undefined at snr_db=-inf (rho=0)",
+            ),
+            # --validate runs at the config point, not on the sweep grid
+            ("snr_db = 2000", ["--stop", "0", "--validate"], "snr_db=2000 (rho=1e+200)"),
+        ],
+    )
+    def test_bad_config_value_exits_two_with_one_line(
+        self, config, argv, fragment, tmp_path, capsys
+    ):
+        path = tmp_path / "bad.conf"
+        path.write_text(config + "\n", encoding="utf-8")
+        assert main(["--config", str(path), *argv, "--trials", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert fragment in captured.err
+        assert captured.out == ""
 
     def test_module_entry_point_and_light_package_import(self):
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

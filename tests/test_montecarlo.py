@@ -5,7 +5,6 @@ import pytest
 
 from ehs_cnoma import _kernels, analytic, model, montecarlo, protocols
 from ehs_cnoma.analytic import AnalyticReport, Exactness
-from ehs_cnoma.model import ChannelRealization
 from ehs_cnoma.montecarlo import CHUNK_TRIALS, EstimatorConfig, estimate_metrics
 from ehs_cnoma.protocols import Protocol, thresholds
 
@@ -27,32 +26,26 @@ def chunk(params, varz, cfg, lo, hi, protocol=Protocol.EHS_MRC):
 class TestKernels:
     @pytest.mark.parametrize("protocol", list(Protocol))
     @pytest.mark.parametrize("snr_db", [0.0, 15.0, 30.0])
-    def test_kernel_matches_scalar_outcomes(self, protocol, snr_db):
+    def test_kernel_moments_match_numpy(self, protocol, snr_db):
+        # the chunk reduction against plain numpy on the same per-trial values
         params, varz = setup_point(rho=10.0 ** (snr_db / 10.0))
         thr = thresholds(params)
         gains = model.sample_gains(varz, 42, 0, CHUNK_TRIALS)
-        outcomes = [
-            protocols.realization_outcome(params, ChannelRealization(*map(float, g)), thr, protocol)
-            for g in zip(*gains)
-        ]
-        scalar = {
-            name: np.array([getattr(o, name) for o in outcomes])
-            for name in ("c_x1", "c_x2", "c_x3", "p_relay", "out_x1", "out_x2_ccu", "out_x3_ceu")
-        }
-        # the array physics agrees with the scalar API trial by trial
-        metrics = protocols._link_metrics(params, *gains, protocol)
-        caps = protocols.instantaneous_capacities(params, metrics, protocol)
+        metrics = protocols.link_metrics(params, *gains, protocol)
+        c_x1, c_x2, c_x3 = protocols.instantaneous_capacities(params, metrics, protocol)
         flags = protocols.outage_flags(params, metrics, thr, protocol)
-        for name, value in zip(scalar, (*caps, metrics.p_relay, *flags)):
-            assert np.array_equal(np.broadcast_to(value, (CHUNK_TRIALS,)), scalar[name]), name
-        # and the chunk reduction is the plain mean and count of those values
+        esc = (c_x1 + c_x2) + c_x3
+        columns = np.broadcast_arrays(c_x1, c_x2, c_x3, esc, metrics.p_relay)
+
         n, means, m2, com, counts = _kernels.accumulate_chunk(params, thr, protocol, *gains)
-        esc = (scalar["c_x1"] + scalar["c_x2"]) + scalar["c_x3"]
         assert n == CHUNK_TRIALS
-        columns = (scalar["c_x1"], scalar["c_x2"], scalar["c_x3"], esc, scalar["p_relay"])
-        assert means.tolist() == [column.mean() for column in columns]
+        assert means.tolist() == [arr.mean() for arr in columns]
+        assert m2 == pytest.approx([n * np.var(arr) for arr in columns], rel=1e-12)
+        assert com == pytest.approx(
+            n * np.cov(esc, metrics.p_relay, bias=True)[0, 1], rel=1e-12
+        )
         assert counts.tolist() == [
-            np.count_nonzero(scalar[name]) for name in ("out_x1", "out_x2_ccu", "out_x3_ceu")
+            np.count_nonzero(np.broadcast_to(flag, (n,))) for flag in flags
         ]
 
     def test_merge_equals_single_pass(self):

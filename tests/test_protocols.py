@@ -1,9 +1,7 @@
-import math
-
 import pytest
 
-from ehs_cnoma import protocols
-from ehs_cnoma.model import ChannelRealization, SystemParams
+from ehs_cnoma import analytic, protocols
+from ehs_cnoma.model import SystemParams, variances_from_distances
 from ehs_cnoma.protocols import (
     Protocol,
     Thresholds,
@@ -11,7 +9,6 @@ from ehs_cnoma.protocols import (
     instantaneous_capacities,
     link_metrics,
     outage_flags,
-    realization_outcome,
     relay_power,
     thresholds,
 )
@@ -77,15 +74,19 @@ class TestHarvesting:
             relay_power(params_full, 1.3), rel=1e-15
         )
 
-    def test_negative_gain_rejected(self):
-        with pytest.raises(ValueError):
-            relay_power(make_params(), -0.1)
+    def test_mean_relay_power_is_relay_power_at_mean_gain(self):
+        # both read the one harvesting factor, and the power is linear in g_ccu
+        params = make_params(alpha=0.45, delta=0.2)
+        varz = variances_from_distances(params)
+        assert analytic.mean_relay_power(params, varz) == pytest.approx(
+            relay_power(params, varz.lambda_ccu), rel=1e-15
+        )
 
 
 class TestLinkMetrics:
     def test_enhanced_worked_example(self):
         params = make_params(rho=10.0)
-        m = link_metrics(params, ChannelRealization(1.0, 1.0, 0.5), Protocol.EHS_MRC)
+        m = link_metrics(params, 1.0, 1.0, 0.5, Protocol.EHS_MRC)
         assert m.snr_x1_ceu == pytest.approx(10.0, rel=1e-15)
         assert m.sinr_x3_ccu == pytest.approx(4.5, rel=1e-15)
         assert m.snr_x2_ccu == pytest.approx(1.0, rel=1e-15)
@@ -96,17 +97,17 @@ class TestLinkMetrics:
 
     def test_sic_interference_ceiling(self):
         params = make_params()
-        weak = link_metrics(params, ChannelRealization(1.0, 1.0, 1.0), Protocol.EHS_MRC)
-        strong = link_metrics(params, ChannelRealization(1e12, 1.0, 1.0), Protocol.EHS_MRC)
+        weak = link_metrics(params, 1.0, 1.0, 1.0, Protocol.EHS_MRC)
+        strong = link_metrics(params, 1e12, 1.0, 1.0, Protocol.EHS_MRC)
         ceiling = params.p_f / params.p_n
         assert weak.sinr_x3_ccu < strong.sinr_x3_ccu < ceiling
         assert strong.sinr_x3_ccu > ceiling - 1e-6
 
     def test_baseline_shares_everything_but_combining(self):
         params = make_params(rho=10.0)
-        real = ChannelRealization(1.0, 1.0, 0.5)
-        ehs = link_metrics(params, real, Protocol.EHS_MRC)
-        hs = link_metrics(params, real, Protocol.HS_SC)
+        gains = (1.0, 1.0, 0.5)
+        ehs = link_metrics(params, *gains, Protocol.EHS_MRC)
+        hs = link_metrics(params, *gains, Protocol.HS_SC)
         assert hs.snr_x1_ceu == 0.0
         assert hs.sinr_x3_ccu == ehs.sinr_x3_ccu
         assert hs.snr_x2_ccu == ehs.snr_x2_ccu
@@ -117,9 +118,8 @@ class TestLinkMetrics:
         assert hs.snr_x3_combined <= ehs.snr_x3_combined
 
     def test_power_split_changes_relay_branch_only(self):
-        real = ChannelRealization(1.0, 1.0, 1.0)
-        low = link_metrics(make_params(delta=0.1), real, Protocol.EHS_MRC)
-        high = link_metrics(make_params(delta=0.9), real, Protocol.EHS_MRC)
+        low = link_metrics(make_params(delta=0.1), 1.0, 1.0, 1.0, Protocol.EHS_MRC)
+        high = link_metrics(make_params(delta=0.9), 1.0, 1.0, 1.0, Protocol.EHS_MRC)
         assert low.sinr_x3_ccu == high.sinr_x3_ccu
         assert low.snr_x2_ccu == high.snr_x2_ccu
         assert low.snr_x1_ceu == high.snr_x1_ceu
@@ -148,11 +148,10 @@ class TestCapacities:
         assert instantaneous_capacities(params, m, Protocol.EHS_MRC) == (0.0, 0.0, 0.0)
 
     def test_monotone_in_rho(self):
-        real = ChannelRealization(1.0, 0.8, 0.6)
         prev = (0.0, 0.0, 0.0)
         for rho in (0.5, 2.0, 10.0, 50.0):
             params = make_params(rho=rho)
-            m = link_metrics(params, real, Protocol.EHS_MRC)
+            m = link_metrics(params, 1.0, 0.8, 0.6, Protocol.EHS_MRC)
             caps = instantaneous_capacities(params, m, Protocol.EHS_MRC)
             assert all(c >= p for c, p in zip(caps, prev))
             prev = caps
@@ -205,20 +204,6 @@ class TestOutage:
         thr = thresholds(params)
         assert thr.psi_r3 > params.p_f / params.p_n
         for gains in ((0.1, 0.1, 0.1), (10.0, 10.0, 10.0), (1e6, 1e6, 1e6)):
-            out = realization_outcome(params, ChannelRealization(*gains), thr, Protocol.EHS_MRC)
-            assert out.out_x2_ccu and out.out_x3_ceu
-
-
-class TestRealizationOutcome:
-    def test_composes_the_pieces(self):
-        params = make_params()
-        real = ChannelRealization(0.9, 1.2, 0.3)
-        thr = thresholds(params)
-        for protocol in Protocol:
-            m = link_metrics(params, real, protocol)
-            caps = instantaneous_capacities(params, m, protocol)
-            flags = outage_flags(params, m, thr, protocol)
-            out = realization_outcome(params, real, thr, protocol)
-            assert (out.c_x1, out.c_x2, out.c_x3) == caps
-            assert (out.out_x1, out.out_x2_ccu, out.out_x3_ceu) == flags
-            assert out.p_relay == m.p_relay
+            m = link_metrics(params, *gains, Protocol.EHS_MRC)
+            _, out_x2, out_x3 = outage_flags(params, m, thr, Protocol.EHS_MRC)
+            assert out_x2 and out_x3
