@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import analytic, model, montecarlo
@@ -16,20 +16,10 @@ from .protocols import Protocol
 
 CSV_HEADER = "variable,value,protocol,metric,symbol,analytic,simulated,std_error,trials,seed"
 
+# SystemParams owns its defaults; rho is set from snr_db
 _DEFAULTS = {
     "snr_db": 15.0,
-    "alpha": 0.3,
-    "delta": 0.3,
-    "eta": 0.7,
-    "v": 2.0,
-    "d1": 0.5,
-    "d2": 1.0,
-    "p_n": 0.1,
-    "p_f": 0.9,
-    "p_total": 1.0,
-    "r1": 1.0,
-    "r2": 1.0,
-    "r3": 1.0,
+    **{field.name: field.default for field in fields(SystemParams) if field.name != "rho"},
     "trials": 100000,
     "seed": 42,
 }
@@ -43,8 +33,17 @@ _SWEEP_DEFAULTS = {
 _MAX_GRID_POINTS = 10 ** 6
 
 ALL_METRICS = ("esc", "op", "ee")
-_ESC_SYMBOLS = (("x1", "c_x1"), ("x2", "c_x2"), ("x3", "c_x3"), ("sum", "esc_total"))
-_OP_SYMBOLS = (("x1", "op_x1"), ("x2", "op_x2_ccu"), ("x3", "op_x3_ceu"))
+# metric id -> (metric, symbol) of its CSV rows, in row order
+_ROW_LAYOUT = {
+    "c_x1": ("esc", "x1"),
+    "c_x2": ("esc", "x2"),
+    "c_x3": ("esc", "x3"),
+    "esc_total": ("esc", "sum"),
+    "op_x1": ("op", "x1"),
+    "op_x2_ccu": ("op", "x2"),
+    "op_x3_ceu": ("op", "x3"),
+    "ee": ("ee", "-"),
+}
 
 
 class ConfigError(ValueError):
@@ -130,23 +129,11 @@ def parse_config(text: str) -> tuple[SystemParams, EstimatorConfig]:
         except ValueError:
             kind = "an integer" if key in _INT_KEYS else "a number"
             raise ConfigError(f"line {lineno}: {key!r} needs {kind}, got {value!r}") from None
+    snr_db = values.pop("snr_db")
+    cfg_values = {key: values.pop(key) for key in _INT_KEYS}
     try:
-        params = SystemParams(
-            rho=db_to_linear(values["snr_db"]),
-            alpha=values["alpha"],
-            delta=values["delta"],
-            eta=values["eta"],
-            p_n=values["p_n"],
-            p_f=values["p_f"],
-            p_total=values["p_total"],
-            d1=values["d1"],
-            d2=values["d2"],
-            v=values["v"],
-            r1=values["r1"],
-            r2=values["r2"],
-            r3=values["r3"],
-        )
-        cfg = EstimatorConfig(trials=values["trials"], seed=values["seed"])
+        params = SystemParams(rho=db_to_linear(snr_db), **values)
+        cfg = EstimatorConfig(**cfg_values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return params, cfg
@@ -162,9 +149,7 @@ def db_to_linear(snr_db: float) -> float:
 def _point_params(spec: SweepSpec, params: SystemParams, value: float) -> SystemParams:
     if spec.variable == "snr_db":
         return replace(params, rho=db_to_linear(value))
-    if spec.variable == "alpha":
-        return replace(params, alpha=value)
-    return replace(params, d1=value)
+    return replace(params, **{spec.variable: value})
 
 
 def _point_rows(
@@ -175,18 +160,11 @@ def _point_rows(
     estimates: dict[str, Estimate],
     forms: dict[str, AnalyticReport],
 ) -> list[SweepRow]:
-    layout: list[tuple[str, str, str]] = []
-    if "esc" in spec.metrics:
-        layout += [("esc", sym, mid) for sym, mid in _ESC_SYMBOLS]
-    if "op" in spec.metrics:
-        layout += [("op", sym, mid) for sym, mid in _OP_SYMBOLS]
-    if "ee" in spec.metrics:
-        layout.append(("ee", "-", "ee"))
-    if protocol is Protocol.HS_SC:
-        # x1 is never transmitted by the baseline, so its rows are dropped
-        layout = [entry for entry in layout if entry[1] != "x1"]
     rows = []
-    for metric, symbol, metric_id in layout:
+    for metric_id, (metric, symbol) in _ROW_LAYOUT.items():
+        # x1 is never transmitted by the baseline, so its rows are dropped
+        if metric not in spec.metrics or (protocol is Protocol.HS_SC and symbol == "x1"):
+            continue
         est = estimates[metric_id]
         rows.append(
             SweepRow(
@@ -214,12 +192,11 @@ def run_sweep(
     or alpha changes them consistently. For SNR sweeps the grid is in dB.
     """
     grid = spec.values()
-    if spec.variable == "alpha" and not (0.0 < grid[0] and grid[-1] < 1.0):
-        raise ValueError(f"alpha sweep must stay inside (0, 1), got [{grid[0]}, {grid[-1]}]")
-    if spec.variable == "d1" and not (0.0 < grid[0] and grid[-1] < params.d2):
-        raise ValueError(
-            f"d1 sweep must stay inside (0, d2={params.d2}), got [{grid[0]}, {grid[-1]}]"
-        )
+    # Each check of SystemParams and variances_from_distances is an interval
+    # or an overflow that grows one way along the monotone grid, so the two
+    # ends pass exactly when every point does; fail before the first estimate.
+    for value in (grid[0], grid[-1]):
+        model.variances_from_distances(_point_params(spec, params, value))
     rows: list[SweepRow] = []
     for value in grid:
         p_point = _point_params(spec, params, value)

@@ -1,14 +1,18 @@
 """Deterministic Monte-Carlo estimator with exact worker-count invariance.
 
 Trials are cut into fixed-size chunks; each chunk is reduced to counts and
-stable single-pass moments, and chunks are merged in index order with the
-exact count-weighted update. The result is therefore a pure function of
-(params, variances, config) no matter how many workers ran the chunks.
+two-pass moments, and each chunk is folded into the running total in index
+order with the exact count-weighted update. The result is therefore a pure
+function of (params, variances, config) no matter how many workers ran the
+chunks, and memory does not grow with the trial count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,18 +24,6 @@ from .model import ChannelVariances, SystemParams
 from .protocols import Protocol, thresholds
 
 CHUNK_TRIALS = 32768
-
-METRIC_IDS = (
-    "c_x1",
-    "c_x2",
-    "c_x3",
-    "esc_total",
-    "op_x1",
-    "op_x2_ccu",
-    "op_x3_ceu",
-    "mean_p_relay",
-    "ee",
-)
 
 _CONT_INDEX = {"c_x1": 0, "c_x2": 1, "c_x3": 2, "esc_total": 3, "mean_p_relay": 4}
 _FLAG_INDEX = {"op_x1": 0, "op_x2_ccu": 1, "op_x3_ceu": 2}
@@ -76,16 +68,34 @@ class ValidationReport:
         return any(row.status == "FAIL" for row in self.rows)
 
 
-def _chunk_bounds(trials: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
-
-
 def _run_chunk(params, varz, cfg, protocol, thr, lo, hi):
     # an overflow leaves a non-finite moment, which estimate_metrics reports
     # as one error rather than as a stream of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         g_ccu, g_ceu, g_relay = model.sample_gains(varz, cfg.seed, lo, hi)
         return _kernels.accumulate_chunk(params, thr, protocol, g_ccu, g_ceu, g_relay)
+
+
+def _chunk_parts(params, varz, cfg, protocol, workers):
+    """Each chunk's moments in index order, with at most 2 * threads chunks in flight."""
+    thr = thresholds(params)
+    starts = range(0, cfg.trials, CHUNK_TRIALS)
+    threads = min(workers, os.cpu_count() or 1, len(starts))
+
+    def run(lo):
+        return _run_chunk(params, varz, cfg, protocol, thr, lo, min(lo + CHUNK_TRIALS, cfg.trials))
+
+    if threads <= 1:
+        yield from map(run, starts)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for lo in starts:
+            pending.append(pool.submit(run, lo))
+            if len(pending) == 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def _merge(a, b):
@@ -145,22 +155,14 @@ def estimate_metrics(
 ) -> dict[str, Estimate]:
     """Monte-Carlo estimates of all capacity, outage, and power metrics.
 
-    Returns Estimates keyed by the ids in METRIC_IDS; ee is the ratio of
-    the esc_total and mean_p_relay means with a first-order standard error.
+    Returns Estimates keyed by the metric ids of analytic.closed_forms plus
+    mean_p_relay; ee is the ratio of the esc_total and mean_p_relay means
+    with a first-order standard error. Worker threads are capped at the CPU
+    count and the chunk count; the result does not depend on them.
     """
-    thr = thresholds(params)
-    bounds = _chunk_bounds(cfg.trials)
-    if workers <= 1 or len(bounds) == 1:
-        parts = [_run_chunk(params, varz, cfg, protocol, thr, lo, hi) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda b: _run_chunk(params, varz, cfg, protocol, thr, *b), bounds)
-            )
-    total = parts[0]
-    for part in parts[1:]:
-        total = _merge(total, part)
-    n, means, m2, com, counts = total
+    # a left fold in index order, so every worker count gives the same bytes
+    parts = _chunk_parts(params, varz, cfg, protocol, workers)
+    n, means, m2, com, counts = functools.reduce(_merge, parts)
     if not (np.isfinite(means).all() and np.isfinite(m2).all() and math.isfinite(com)):
         raise ValueError(f"simulated moments overflow at {analytic._describe_point(params, varz)}")
     ee = _ratio_estimate(n, means, m2, com)
@@ -197,12 +199,12 @@ def compare_with_analytic(
 ) -> ValidationReport:
     """Cross-check simulation against the closed forms.
 
-    One row per metric with a closed form, in METRIC_IDS order. Forms
+    One row per metric with a closed form, in closed_forms order. Forms
     tagged exact are z-tested and flagged FAIL beyond three standard
     errors. Approximate forms are listed with their gap for inspection and
     never fail on the gap alone.
     """
     est = estimate_metrics(params, varz, cfg, protocol, workers=workers)
     forms = analytic.closed_forms(params, varz, protocol)
-    rows = tuple(_row(m, forms[m], est[m]) for m in METRIC_IDS if m in forms)
+    rows = tuple(_row(m, form, est[m]) for m, form in forms.items())
     return ValidationReport(protocol, rows)

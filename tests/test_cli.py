@@ -76,6 +76,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="trials"):
             parse_config("trials = 0")
 
+    def test_readme_table_lists_the_defaults(self):
+        readme = Path(__file__).parents[1] / "README.md"
+        table = readme.read_text(encoding="utf-8").split("Keys and defaults:")[1]
+        documented = {}
+        for line in table.strip().split("\n\n")[0].splitlines()[2:]:
+            keys, defaults, _ = (cell.strip().split(", ") for cell in line.strip("|").split("|"))
+            # one default given for several keys holds for each of them
+            documented.update(zip(keys, defaults * len(keys) if len(defaults) == 1 else defaults))
+        assert documented == {key: str(value) for key, value in cli._DEFAULTS.items()}
+
     def test_every_key_reaches_its_field(self):
         text = "\n".join(
             [
@@ -216,11 +226,12 @@ class TestRunSweep:
         ]
 
     def test_sweep_grid_validation(self):
+        # the point that leaves its range fails with that parameter's own check
         spec, params, cfg = self.small_inputs(variable="alpha", start=0.5, stop=1.0, step=0.5)
-        with pytest.raises(ValueError, match="alpha"):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got 1.0"):
             run_sweep(spec, params, cfg)
         spec, params, cfg = self.small_inputs(variable="d1", start=0.5, stop=1.0, step=0.5)
-        with pytest.raises(ValueError, match="d1"):
+        with pytest.raises(ValueError, match="need 0 < d1 < d2, got d1=1.0, d2=1.0"):
             run_sweep(spec, params, cfg)
 
     def test_worker_invariance(self):
@@ -433,7 +444,7 @@ class TestMain:
         assert "FAIL" in capsys.readouterr().err
 
     def test_validate_output_pinned(self, tmp_path, capsys):
-        # rows in METRIC_IDS order for both protocols, z only on exact forms
+        # rows in closed_forms order for both protocols, z only on exact forms
         argv = ["--trials", "3000", "--stop", "5", "--validate", "--out", str(tmp_path / "v.csv")]
         assert main(argv) == 0
         err = capsys.readouterr().err

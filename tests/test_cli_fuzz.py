@@ -67,6 +67,8 @@ config_line = st.tuples(
     st.sampled_from(sorted(cli._DEFAULTS) + ["bogus"]),
     st.one_of(st.sampled_from(_EXTREME_FLOATS), float_text, int_text),
 ).map(lambda kv: f"{kv[0]} = {kv[1]}")
+# several lines per run, so holes that need two keys together are searched
+config_text = st.lists(config_line, min_size=1, max_size=3).map("\n".join)
 
 
 def _as_float(text):
@@ -92,7 +94,7 @@ def _bound_grid(draw, options):
 
 @st.composite
 def cli_argv(draw):
-    """(argv, config line or None or "<missing>", --out target kind)."""
+    """(argv, config text or None or "<missing>", --out target kind)."""
     options = {"--trials": draw(OPTIONS["--trials"][0])}
     for flag, (valid, _) in OPTIONS.items():
         if flag not in options and draw(st.booleans()):
@@ -106,7 +108,7 @@ def cli_argv(draw):
         argv.append("--validate")
     if draw(st.integers(0, 49)) == 0:
         argv.append("--help")
-    config = draw(st.one_of(st.none(), config_line, st.just("<missing>")))
+    config = draw(st.one_of(st.none(), config_text, st.just("<missing>")))
     out = draw(st.sampled_from([None, "file", "directory"]))
     return argv, config, out
 

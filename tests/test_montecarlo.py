@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,75 @@ class TestEstimates:
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
             make_cfg(trials=0)
+
+
+def fake_chunk(params, varz, cfg, protocol, thr, lo, hi):
+    # moments that depend on the chunk index, so a fold out of order shows
+    return hi - lo, np.full(5, 1.0 + lo), np.zeros(5), 0.0, np.zeros(3, dtype=np.int64)
+
+
+class LazyFuture:
+    def __init__(self, pool, fn, args):
+        self.pool, self.fn, self.args = pool, fn, args
+
+    def result(self):
+        self.pool.in_flight -= 1
+        return self.fn(*self.args)
+
+
+class RecordingPool:
+    """ThreadPoolExecutor stand-in: starts no thread and runs a call when its result is read."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.in_flight = self.peak_in_flight = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.in_flight += 1
+        self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+        return LazyFuture(self, fn, args)
+
+
+class TestChunkScheduling:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_flat_in_trials(self, workers, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_run_chunk", fake_chunk)
+        params, varz = setup_point()
+        cfg = make_cfg(trials=2 * 10 ** 8)
+        tracemalloc.start()
+        try:
+            est = estimate_metrics(params, varz, cfg, Protocol.EHS_MRC, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est["c_x1"].n == cfg.trials
+        assert peak < 1 << 20
+
+    def test_worker_threads_capped(self, monkeypatch):
+        pools = []
+
+        def recording_pool(max_workers):
+            pools.append(RecordingPool(max_workers))
+            return pools[-1]
+
+        monkeypatch.setattr(montecarlo, "_run_chunk", fake_chunk)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        params, varz = setup_point()
+        cfg = make_cfg(trials=10 * CHUNK_TRIALS)
+        serial = estimate_metrics(params, varz, cfg, Protocol.EHS_MRC, workers=1)
+        assert pools == []
+        assert estimate_metrics(params, varz, cfg, Protocol.EHS_MRC, workers=5000) == serial
+        estimate_metrics(params, varz, make_cfg(trials=2 * CHUNK_TRIALS), Protocol.EHS_MRC,
+                         workers=5000)
+        assert [pool.max_workers for pool in pools] == [3, 2]
+        assert [pool.peak_in_flight for pool in pools] == [6, 2]
 
 
 class TestValidationReport:
