@@ -1,11 +1,12 @@
 """Closed-form ergodic capacities, outage probabilities, energy efficiency.
 
-Each result carries an exactness tag. EXACT forms follow from the modeled
-SINR distributions with no approximation, so simulation must agree within
-statistical error. APPROXIMATE forms model the diversity-combined SINR with
-a single heuristic exponential tail; they are evaluated exactly as defined
-here and their gap to simulation is reported, never asserted away.
-``closed_forms`` is the one table of which form serves which metric.
+``closed_forms`` is the one table of which form serves which metric, and
+the one place that tags each result with its exactness. EXACT forms follow
+from the modeled SINR distributions with no approximation, so simulation
+must agree within statistical error. APPROXIMATE forms model the
+diversity-combined SINR with a single heuristic exponential tail; they are
+evaluated exactly as defined here and their gap to simulation is reported,
+never asserted away.
 """
 
 from __future__ import annotations
@@ -33,32 +34,6 @@ class AnalyticReport:
     exactness: Exactness
 
 
-@dataclass(frozen=True)
-class ErgodicTerms:
-    """Exponential-mean scales feeding the capacity closed forms.
-
-    g: far-user x1 SNR scale. q: near-user x2 SNR scale. r: relay branch
-    scale absorbing both harvesting phases. z: power coefficient ratio
-    p_n/p_f. s: relay link variance.
-    """
-
-    g: float
-    q: float
-    r: float
-    z: float
-    s: float
-
-
-def ergodic_terms(params: SystemParams, varz: ChannelVariances) -> ErgodicTerms:
-    return ErgodicTerms(
-        g=varz.lambda_ceu * params.rho * params.p_total,
-        q=varz.lambda_ccu * params.rho * params.p_n,
-        r=params.eta * params.rho * varz.lambda_ceu * harvest_factor(params),
-        z=params.p_n / params.p_f,
-        s=varz.lambda_relay,
-    )
-
-
 def _capacity_term(prelog: float, scale: float) -> float:
     # E[prelog * log2(1+X)] for X exponential with mean `scale`
     if scale == 0.0:
@@ -66,44 +41,32 @@ def _capacity_term(prelog: float, scale: float) -> float:
     return prelog / _LN2 * neg_ei_exp(scale)
 
 
-def ergodic_c_x1(params: SystemParams, varz: ChannelVariances) -> AnalyticReport:
+def ergodic_c_x1(params: SystemParams, varz: ChannelVariances) -> float:
     """Ergodic capacity of x1 at the far user; exact, the SNR is exponential."""
-    terms = ergodic_terms(params, varz)
-    return AnalyticReport(_capacity_term(params.alpha, terms.g), Exactness.EXACT)
+    g = varz.lambda_ceu * params.rho * params.p_total
+    return _capacity_term(params.alpha, g)
 
 
-def ergodic_c_x2(params: SystemParams, varz: ChannelVariances) -> AnalyticReport:
+def ergodic_c_x2(params: SystemParams, varz: ChannelVariances) -> float:
     """Ergodic capacity of x2 at the near user; exact after SIC removes x3."""
-    terms = ergodic_terms(params, varz)
-    prelog = (1.0 - params.alpha) / 2.0
-    return AnalyticReport(_capacity_term(prelog, terms.q), Exactness.EXACT)
+    q = varz.lambda_ccu * params.rho * params.p_n
+    return _capacity_term((1.0 - params.alpha) / 2.0, q)
 
 
-def ergodic_c_x3(params: SystemParams, varz: ChannelVariances) -> AnalyticReport:
+def ergodic_c_x3(params: SystemParams, varz: ChannelVariances) -> float:
     """Ergodic capacity of x3 under maximal ratio combining; approximate.
 
     The combined SINR is modeled as the sum of an exponential relay branch
-    of mean r, weighted by (1+z), and an exponential direct branch of mean
-    s; the true combined distribution is neither exponential nor has these
-    scales, so only simulation is authoritative here.
+    of mean r, weighted by (1+z) with z = p_n/p_f, and an exponential direct
+    branch whose mean is the relay-link variance lambda_relay; the true
+    combined distribution is neither exponential nor has these scales, so
+    only simulation is authoritative here.
     """
-    terms = ergodic_terms(params, varz)
+    r = params.eta * params.rho * varz.lambda_ceu * harvest_factor(params)
+    z = params.p_n / params.p_f
     prelog = (1.0 - params.alpha) / 2.0
-    relay_part = 0.0 if terms.r == 0.0 else neg_ei_exp(terms.r) * (1.0 + terms.z)
-    value = prelog / _LN2 * (relay_part + neg_ei_exp(terms.s))
-    return AnalyticReport(value, Exactness.APPROXIMATE)
-
-
-def ergodic_sum(params: SystemParams, varz: ChannelVariances, protocol: Protocol) -> float:
-    """Sum of the per-symbol ergodic terms; the baseline has no x1 term.
-
-    Inherits the x3 approximation; for the baseline it also reuses the
-    combining model, so treat it as indicative, not exact.
-    """
-    total = ergodic_c_x2(params, varz).value + ergodic_c_x3(params, varz).value
-    if protocol is Protocol.EHS_MRC:
-        total += ergodic_c_x1(params, varz).value
-    return total
+    relay_part = 0.0 if r == 0.0 else neg_ei_exp(r) * (1.0 + z)
+    return prelog / _LN2 * (relay_part + neg_ei_exp(varz.lambda_relay))
 
 
 def _exp_neg_ratio(num: float, den: float) -> float:
@@ -113,7 +76,7 @@ def _exp_neg_ratio(num: float, den: float) -> float:
     return math.exp(-num / den)
 
 
-def op_ccu(params: SystemParams, varz: ChannelVariances, thr: Thresholds) -> AnalyticReport:
+def op_ccu(params: SystemParams, varz: ChannelVariances, thr: Thresholds) -> float:
     """Near-user outage closed form; approximate.
 
     Inclusion-exclusion of the two SIC decode events with prefactor
@@ -124,16 +87,15 @@ def op_ccu(params: SystemParams, varz: ChannelVariances, thr: Thresholds) -> Ana
     a = params.p_f / (params.p_f + params.p_n)
     term1 = a * _exp_neg_ratio(thr.psi_r3, params.rho * varz.lambda_ccu * params.p_f)
     term2 = a * (1.0 - _exp_neg_ratio(thr.psi_r2, params.rho * varz.lambda_ccu * params.p_n))
-    return AnalyticReport(term1 + term2 - term1 * term2, Exactness.APPROXIMATE)
+    return term1 + term2 - term1 * term2
 
 
-def op_ceu_x1(params: SystemParams, varz: ChannelVariances, thr: Thresholds) -> AnalyticReport:
+def op_ceu_x1(params: SystemParams, varz: ChannelVariances, thr: Thresholds) -> float:
     """Far-user outage for x1; exact, the SNR is exponential."""
-    value = 1.0 - _exp_neg_ratio(thr.psi_r1, params.rho * varz.lambda_ceu)
-    return AnalyticReport(value, Exactness.EXACT)
+    return 1.0 - _exp_neg_ratio(thr.psi_r1, params.rho * varz.lambda_ceu)
 
 
-def op_ceu_x3(params: SystemParams, varz: ChannelVariances, thr: Thresholds) -> AnalyticReport:
+def op_ceu_x3(params: SystemParams, varz: ChannelVariances, thr: Thresholds) -> float:
     """Far-user outage for x3 under maximal ratio combining; approximate.
 
     The combined branch is modeled as one exponential whose mean is the
@@ -145,7 +107,7 @@ def op_ceu_x3(params: SystemParams, varz: ChannelVariances, thr: Thresholds) -> 
     t2 = 1.0 - _exp_neg_ratio(
         thr.psi_r3, params.rho * varz.lambda_ccu * varz.lambda_relay * params.eta * coef
     )
-    return AnalyticReport(t1 + t2 - t1 * t2, Exactness.APPROXIMATE)
+    return t1 + t2 - t1 * t2
 
 
 def mean_relay_power(params: SystemParams, varz: ChannelVariances) -> float:
@@ -190,17 +152,24 @@ def closed_forms(
     The sum and the energy efficiency inherit the x3 approximation.
     """
     thr = thresholds(params)
+    exact, approx = Exactness.EXACT, Exactness.APPROXIMATE
+    c_x2 = ergodic_c_x2(params, varz)
     if protocol is Protocol.HS_SC:
-        return {"c_x2": ergodic_c_x2(params, varz), "op_x2_ccu": op_ccu(params, varz, thr)}
-    # ergodic_sum fixes the addition order of the sum, hence the CSV bytes
-    esc = ergodic_sum(params, varz, protocol)
+        return {
+            "c_x2": AnalyticReport(c_x2, exact),
+            "op_x2_ccu": AnalyticReport(op_ccu(params, varz, thr), approx),
+        }
+    c_x3 = ergodic_c_x3(params, varz)
+    c_x1 = ergodic_c_x1(params, varz)
+    # this addition order fixes the CSV bytes of the sum
+    esc = (c_x2 + c_x3) + c_x1
     return {
-        "c_x1": ergodic_c_x1(params, varz),
-        "c_x2": ergodic_c_x2(params, varz),
-        "c_x3": ergodic_c_x3(params, varz),
-        "esc_total": AnalyticReport(esc, Exactness.APPROXIMATE),
-        "op_x1": op_ceu_x1(params, varz, thr),
-        "op_x2_ccu": op_ccu(params, varz, thr),
-        "op_x3_ceu": op_ceu_x3(params, varz, thr),
-        "ee": AnalyticReport(energy_efficiency(params, varz, esc), Exactness.APPROXIMATE),
+        "c_x1": AnalyticReport(c_x1, exact),
+        "c_x2": AnalyticReport(c_x2, exact),
+        "c_x3": AnalyticReport(c_x3, approx),
+        "esc_total": AnalyticReport(esc, approx),
+        "op_x1": AnalyticReport(op_ceu_x1(params, varz, thr), exact),
+        "op_x2_ccu": AnalyticReport(op_ccu(params, varz, thr), approx),
+        "op_x3_ceu": AnalyticReport(op_ceu_x3(params, varz, thr), approx),
+        "ee": AnalyticReport(energy_efficiency(params, varz, esc), approx),
     }

@@ -12,7 +12,7 @@ from . import analytic, model, montecarlo
 from .analytic import AnalyticReport
 from .model import SystemParams
 from .montecarlo import Estimate, EstimatorConfig
-from .protocols import Protocol
+from .protocols import Protocol, thresholds
 
 CSV_HEADER = "variable,value,protocol,metric,symbol,analytic,simulated,std_error,trials,seed"
 
@@ -192,11 +192,14 @@ def run_sweep(
     or alpha changes them consistently. For SNR sweeps the grid is in dB.
     """
     grid = spec.values()
-    # Each check of SystemParams and variances_from_distances is an interval
-    # or an overflow that grows one way along the monotone grid, so the two
-    # ends pass exactly when every point does; fail before the first estimate.
+    # Each check of SystemParams, variances_from_distances and thresholds is
+    # an interval or an overflow that grows one way along the monotone grid,
+    # so the two ends pass exactly when every point does; fail before the
+    # first estimate.
     for value in (grid[0], grid[-1]):
-        model.variances_from_distances(_point_params(spec, params, value))
+        p_end = _point_params(spec, params, value)
+        model.variances_from_distances(p_end)
+        thresholds(p_end)
     rows: list[SweepRow] = []
     for value in grid:
         p_point = _point_params(spec, params, value)

@@ -78,15 +78,15 @@ def test_criterion_02_exact_forms_within_three_sigma():
         thr = thresholds(params)
         est = estimates_at(params, Protocol.EHS_MRC, trials=1_000_000)
         pairs = (
-            (analytic.ergodic_c_x1(params, varz).value, est["c_x1"]),
-            (analytic.ergodic_c_x2(params, varz).value, est["c_x2"]),
-            (analytic.op_ceu_x1(params, varz, thr).value, est["op_x1"]),
+            (analytic.ergodic_c_x1(params, varz), est["c_x1"]),
+            (analytic.ergodic_c_x2(params, varz), est["c_x2"]),
+            (analytic.op_ceu_x1(params, varz, thr), est["op_x1"]),
         )
         for ana, sim in pairs:
             worst_z = max(worst_z, abs(sim.mean - ana) / sim.std_error)
     anchor = analytic.op_ceu_x1(
         params_at(), model.variances_from_distances(params_at()), thresholds(params_at())
-    ).value
+    )
     elapsed = time.perf_counter() - start
     ok = worst_z <= 3.0 and abs(anchor - 0.17922) < 1e-4 and elapsed < 60.0
     _verdict(

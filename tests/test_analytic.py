@@ -10,6 +10,15 @@ from ehs_cnoma.protocols import Protocol, thresholds
 from oracles import expected_log1p_exponential
 
 LN2 = math.log(2.0)
+FORM_FUNCTIONS = (
+    "ergodic_c_x1",
+    "ergodic_c_x2",
+    "ergodic_c_x3",
+    "op_ccu",
+    "op_ceu_x1",
+    "op_ceu_x3",
+    "energy_efficiency",
+)
 
 
 def make_params(**overrides):
@@ -22,27 +31,16 @@ def setup_point(**overrides):
     return params, varz, thresholds(params)
 
 
-class TestErgodicTerms:
-    def test_default_point(self):
-        params, varz, _ = setup_point()
-        t = analytic.ergodic_terms(params, varz)
-        assert t.g == pytest.approx(31.622776601683793, rel=1e-15)
-        assert t.q == pytest.approx(12.649110640673518, rel=1e-15)
-        assert t.r == pytest.approx(25.614449047363873, rel=1e-15)
-        assert t.z == pytest.approx(1.0 / 9.0, rel=1e-14)
-        assert t.s == 4.0
-
-
 class TestErgodicCapacities:
     def test_frozen_default_point(self):
         params, varz, _ = setup_point()
-        assert analytic.ergodic_c_x1(params, varz).value == pytest.approx(
+        assert analytic.ergodic_c_x1(params, varz) == pytest.approx(
             1.2990601003195719, rel=1e-12
         )
-        assert analytic.ergodic_c_x2(params, varz).value == pytest.approx(
+        assert analytic.ergodic_c_x2(params, varz) == pytest.approx(
             1.1136735298841787, rel=1e-12
         )
-        assert analytic.ergodic_c_x3(params, varz).value == pytest.approx(
+        assert analytic.ergodic_c_x3(params, varz) == pytest.approx(
             2.254895816488211, rel=1e-12
         )
 
@@ -55,80 +53,78 @@ class TestErgodicCapacities:
             ref_x2 = (1.0 - params.alpha) / 2.0 / LN2 * expected_log1p_exponential(
                 varz.lambda_ccu * params.rho * params.p_n
             )
-            assert analytic.ergodic_c_x1(params, varz).value == pytest.approx(ref_x1, rel=1e-8)
-            assert analytic.ergodic_c_x2(params, varz).value == pytest.approx(ref_x2, rel=1e-8)
+            assert analytic.ergodic_c_x1(params, varz) == pytest.approx(ref_x1, rel=1e-8)
+            assert analytic.ergodic_c_x2(params, varz) == pytest.approx(ref_x2, rel=1e-8)
 
     def test_x3_combining_model_terms(self):
         params, varz, _ = setup_point()
-        t = analytic.ergodic_terms(params, varz)
+        coef = 2.0 * params.alpha / (1.0 - params.alpha) + params.delta
+        r = params.eta * params.rho * varz.lambda_ceu * coef
+        z = params.p_n / params.p_f
+        s = varz.lambda_relay
         expected = (
             (1.0 - params.alpha)
             / 2.0
             / LN2
-            * (specfun.neg_ei_exp(t.r) * (1.0 + t.z) + specfun.neg_ei_exp(t.s))
+            * (specfun.neg_ei_exp(r) * (1.0 + z) + specfun.neg_ei_exp(s))
         )
-        assert analytic.ergodic_c_x3(params, varz).value == pytest.approx(expected, rel=1e-14)
+        assert analytic.ergodic_c_x3(params, varz) == pytest.approx(expected, rel=1e-14)
 
     def test_prelog_scaling_in_alpha(self):
         # the SNR scales of x1 and x2 do not involve alpha, so the values
         # scale exactly with their prelog factors
         p3, varz, _ = setup_point(alpha=0.3)
         p6 = dataclasses.replace(p3, alpha=0.6)
-        assert analytic.ergodic_c_x1(p6, varz).value == pytest.approx(
-            2.0 * analytic.ergodic_c_x1(p3, varz).value, rel=1e-14
+        assert analytic.ergodic_c_x1(p6, varz) == pytest.approx(
+            2.0 * analytic.ergodic_c_x1(p3, varz), rel=1e-14
         )
-        assert analytic.ergodic_c_x2(p6, varz).value == pytest.approx(
-            (0.4 / 0.7) * analytic.ergodic_c_x2(p3, varz).value, rel=1e-14
+        assert analytic.ergodic_c_x2(p6, varz) == pytest.approx(
+            (0.4 / 0.7) * analytic.ergodic_c_x2(p3, varz), rel=1e-14
         )
 
     def test_zero_rho_collapses_exact_terms(self):
         params, varz, _ = setup_point(rho=0.0)
-        assert analytic.ergodic_c_x1(params, varz).value == 0.0
-        assert analytic.ergodic_c_x2(params, varz).value == 0.0
+        assert analytic.ergodic_c_x1(params, varz) == 0.0
+        assert analytic.ergodic_c_x2(params, varz) == 0.0
         # the combining model keeps its non-scaled direct term; kept as
         # defined, which is why this form carries the approximate tag
         expected = 0.35 / LN2 * specfun.neg_ei_exp(4.0)
-        assert analytic.ergodic_c_x3(params, varz).value == pytest.approx(expected, rel=1e-14)
+        assert analytic.ergodic_c_x3(params, varz) == pytest.approx(expected, rel=1e-14)
 
     def test_monotone_in_rho(self):
         values = []
         for snr_db in np.linspace(0.0, 30.0, 7):
             params, varz, _ = setup_point(rho=10.0 ** (snr_db / 10.0))
-            values.append(analytic.ergodic_c_x1(params, varz).value)
+            values.append(analytic.ergodic_c_x1(params, varz))
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_sum_composition(self):
         params, varz, _ = setup_point()
-        x1 = analytic.ergodic_c_x1(params, varz).value
-        x2 = analytic.ergodic_c_x2(params, varz).value
-        x3 = analytic.ergodic_c_x3(params, varz).value
-        assert analytic.ergodic_sum(params, varz, Protocol.EHS_MRC) == pytest.approx(
-            4.6676294466919614, rel=1e-12
-        )
-        assert analytic.ergodic_sum(params, varz, Protocol.EHS_MRC) == (x2 + x3) + x1
-        assert analytic.ergodic_sum(params, varz, Protocol.HS_SC) == x2 + x3
-        assert analytic.ergodic_sum(params, varz, Protocol.HS_SC) == pytest.approx(
-            3.36856934637239, rel=1e-12
-        )
+        x1 = analytic.ergodic_c_x1(params, varz)
+        x2 = analytic.ergodic_c_x2(params, varz)
+        x3 = analytic.ergodic_c_x3(params, varz)
+        esc = analytic.closed_forms(params, varz, Protocol.EHS_MRC)["esc_total"].value
+        assert esc == pytest.approx(4.6676294466919614, rel=1e-12)
+        assert esc == (x2 + x3) + x1
 
 
 class TestOutageForms:
     def test_frozen_default_point(self):
         params, varz, thr = setup_point()
-        assert analytic.op_ceu_x1(params, varz, thr).value == pytest.approx(
+        assert analytic.op_ceu_x1(params, varz, thr) == pytest.approx(
             0.17922741066365955, rel=1e-12
         )
-        assert analytic.op_ccu(params, varz, thr).value == pytest.approx(
+        assert analytic.op_ccu(params, varz, thr) == pytest.approx(
             0.90387480521226, rel=1e-12
         )
-        assert analytic.op_ceu_x3(params, varz, thr).value == pytest.approx(
+        assert analytic.op_ceu_x3(params, varz, thr) == pytest.approx(
             0.18978132431845704, rel=1e-12
         )
 
     def test_x1_closed_form_is_exponential_tail(self):
         params, varz, thr = setup_point()
         expected = 1.0 - math.exp(-thr.psi_r1 / (params.rho * varz.lambda_ceu))
-        assert analytic.op_ceu_x1(params, varz, thr).value == pytest.approx(expected, rel=1e-14)
+        assert analytic.op_ceu_x1(params, varz, thr) == pytest.approx(expected, rel=1e-14)
 
     def test_near_user_first_term_has_no_complement(self):
         # the SIC-success factor enters as A*exp(...), not A*(1-exp(...));
@@ -139,19 +135,19 @@ class TestOutageForms:
         term1 = a * math.exp(-thr.psi_r3 / (params.rho * varz.lambda_ccu * params.p_f))
         assert term1 == pytest.approx(0.8519527747596873, rel=1e-12)
         lo, varz_lo, thr_lo = setup_point(rho=0.0)
-        assert analytic.op_ccu(lo, varz_lo, thr_lo).value == pytest.approx(a, abs=1e-15)
+        assert analytic.op_ccu(lo, varz_lo, thr_lo) == pytest.approx(a, abs=1e-15)
         hi, varz_hi, thr_hi = setup_point(rho=1e12)
-        assert analytic.op_ccu(hi, varz_hi, thr_hi).value == pytest.approx(a, rel=1e-9)
+        assert analytic.op_ccu(hi, varz_hi, thr_hi) == pytest.approx(a, rel=1e-9)
 
     def test_x1_certain_outage_without_power(self):
         params, varz, thr = setup_point(rho=0.0)
-        assert analytic.op_ceu_x1(params, varz, thr).value == 1.0
+        assert analytic.op_ceu_x1(params, varz, thr) == 1.0
 
     def test_x3_limits(self):
         hi, varz, thr = setup_point(rho=1e12)
-        assert analytic.op_ceu_x3(hi, varz, thr).value < 1e-9
+        assert analytic.op_ceu_x3(hi, varz, thr) < 1e-9
         no_harvest, varz2, thr2 = setup_point(eta=1e-15)
-        assert analytic.op_ceu_x3(no_harvest, varz2, thr2).value == pytest.approx(1.0, abs=1e-12)
+        assert analytic.op_ceu_x3(no_harvest, varz2, thr2) == pytest.approx(1.0, abs=1e-12)
 
     def test_threshold_saturation_in_r2(self):
         # an unreachable x2 rate drives the second decode event certain
@@ -159,13 +155,13 @@ class TestOutageForms:
         a = params.p_f / (params.p_f + params.p_n)
         term1 = a * math.exp(-thr.psi_r3 / (params.rho * varz.lambda_ccu * params.p_f))
         expected = term1 + a - term1 * a
-        assert analytic.op_ccu(params, varz, thr).value == pytest.approx(expected, rel=1e-12)
+        assert analytic.op_ccu(params, varz, thr) == pytest.approx(expected, rel=1e-12)
 
     def test_x1_monotone_decreasing_in_rho(self):
         values = []
         for snr_db in np.linspace(0.0, 30.0, 7):
             params, varz, thr = setup_point(rho=10.0 ** (snr_db / 10.0))
-            values.append(analytic.op_ceu_x1(params, varz, thr).value)
+            values.append(analytic.op_ceu_x1(params, varz, thr))
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_probability_bounds_over_random_parameters(self):
@@ -189,13 +185,13 @@ class TestOutageForms:
             )
             varz = model.variances_from_distances(params)
             thr = thresholds(params)
-            for report in (
+            for value in (
                 analytic.op_ceu_x1(params, varz, thr),
                 analytic.op_ccu(params, varz, thr),
                 analytic.op_ceu_x3(params, varz, thr),
             ):
-                assert 0.0 <= report.value <= 1.0
-            assert analytic.ergodic_c_x1(params, varz).value >= 0.0
+                assert 0.0 <= value <= 1.0
+            assert analytic.ergodic_c_x1(params, varz) >= 0.0
             assert analytic.mean_relay_power(params, varz) > 0.0
 
 
@@ -218,7 +214,7 @@ class TestEnergyEfficiency:
 
     def test_values(self):
         params, varz, _ = setup_point()
-        esc = analytic.ergodic_sum(params, varz, Protocol.EHS_MRC)
+        esc = analytic.closed_forms(params, varz, Protocol.EHS_MRC)["esc_total"].value
         assert analytic.energy_efficiency(params, varz, esc) == pytest.approx(
             0.04555660594203112, rel=1e-12
         )
@@ -238,10 +234,65 @@ class TestEnergyEfficiency:
 
 class TestExactnessTags:
     def test_tags(self):
-        params, varz, thr = setup_point()
-        assert analytic.ergodic_c_x1(params, varz).exactness is Exactness.EXACT
-        assert analytic.ergodic_c_x2(params, varz).exactness is Exactness.EXACT
-        assert analytic.ergodic_c_x3(params, varz).exactness is Exactness.APPROXIMATE
-        assert analytic.op_ceu_x1(params, varz, thr).exactness is Exactness.EXACT
-        assert analytic.op_ccu(params, varz, thr).exactness is Exactness.APPROXIMATE
-        assert analytic.op_ceu_x3(params, varz, thr).exactness is Exactness.APPROXIMATE
+        # the table alone tags each form, in the order --validate prints rows
+        params, varz, _ = setup_point()
+        exact, approx = Exactness.EXACT, Exactness.APPROXIMATE
+        expected = {
+            Protocol.EHS_MRC: [
+                ("c_x1", exact),
+                ("c_x2", exact),
+                ("c_x3", approx),
+                ("esc_total", approx),
+                ("op_x1", exact),
+                ("op_x2_ccu", approx),
+                ("op_x3_ceu", approx),
+                ("ee", approx),
+            ],
+            Protocol.HS_SC: [("c_x2", exact), ("op_x2_ccu", approx)],
+        }
+        for protocol, tags in expected.items():
+            forms = analytic.closed_forms(params, varz, protocol)
+            assert [(metric, report.exactness) for metric, report in forms.items()] == tags
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize(
+        "protocol, order, specfun_calls",
+        [
+            (
+                Protocol.EHS_MRC,
+                [
+                    "ergodic_c_x2",
+                    "ergodic_c_x3",
+                    "ergodic_c_x1",
+                    "op_ceu_x1",
+                    "op_ccu",
+                    "op_ceu_x3",
+                    "energy_efficiency",
+                ],
+                4,
+            ),
+            (Protocol.HS_SC, ["ergodic_c_x2", "op_ccu"], 1),
+        ],
+        ids=["ehs-mrc", "hs-sc"],
+    )
+    def test_each_form_runs_once(self, monkeypatch, protocol, order, specfun_calls):
+        # each printed form runs once, in an order that keeps the first error
+        # an input raises; the sum is built from the three capacities
+        calls = []
+
+        def counted(name):
+            fn = getattr(analytic, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(analytic, name, wrapper)
+
+        for name in FORM_FUNCTIONS + ("neg_ei_exp",):
+            counted(name)
+        params, varz, _ = setup_point()
+        analytic.closed_forms(params, varz, protocol)
+        assert [name for name in calls if name != "neg_ei_exp"] == order
+        assert calls.count("neg_ei_exp") == specfun_calls

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from ehs_cnoma import analytic, cli, model, montecarlo
-from ehs_cnoma.analytic import AnalyticReport, Exactness
 from ehs_cnoma.cli import (
     ConfigError,
     SweepSpec,
@@ -225,14 +224,31 @@ class TestRunSweep:
             ("hs-sc", "x3"),
         ]
 
-    def test_sweep_grid_validation(self):
-        # the point that leaves its range fails with that parameter's own check
-        spec, params, cfg = self.small_inputs(variable="alpha", start=0.5, stop=1.0, step=0.5)
-        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got 1.0"):
-            run_sweep(spec, params, cfg)
-        spec, params, cfg = self.small_inputs(variable="d1", start=0.5, stop=1.0, step=0.5)
-        with pytest.raises(ValueError, match="need 0 < d1 < d2, got d1=1.0, d2=1.0"):
-            run_sweep(spec, params, cfg)
+    def test_sweep_grid_validation(self, monkeypatch):
+        # the point that leaves its range fails with that parameter's own
+        # check, before any grid point is simulated
+        def spy(*args, **kwargs):
+            raise AssertionError("estimate_metrics ran before the grid ends were checked")
+
+        monkeypatch.setattr(montecarlo, "estimate_metrics", spy)
+        cases = [
+            ("alpha", 0.5, 1.0, 0.5, r"alpha must lie in \(0, 1\), got 1.0"),
+            ("d1", 0.5, 1.0, 0.5, "need 0 < d1 < d2, got d1=1.0, d2=1.0"),
+            (
+                "alpha",
+                0.5,
+                0.9995,
+                0.4995,
+                r"decode threshold 2\^\(2\*rate/\(1-alpha\)\) overflows at rate=1.0, "
+                "alpha=0.9995",
+            ),
+        ]
+        for variable, start, stop, step, message in cases:
+            spec, params, cfg = self.small_inputs(
+                variable=variable, start=start, stop=stop, step=step
+            )
+            with pytest.raises(ValueError, match=message):
+                run_sweep(spec, params, cfg)
 
     def test_worker_invariance(self):
         spec, params, cfg = self.small_inputs()
@@ -435,7 +451,7 @@ class TestMain:
 
     def test_validate_flags_exact_disagreement(self, tmp_path, capsys, monkeypatch):
         def broken(params, varz, thr):
-            return AnalyticReport(0.5, Exactness.EXACT)
+            return 0.5
 
         monkeypatch.setattr(analytic, "op_ceu_x1", broken)
         out = tmp_path / "v.csv"

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ehs_cnoma import _kernels, analytic, model, montecarlo, protocols
-from ehs_cnoma.analytic import AnalyticReport, Exactness
 from ehs_cnoma.montecarlo import CHUNK_TRIALS, EstimatorConfig, estimate_metrics
 from ehs_cnoma.protocols import Protocol, thresholds
 
@@ -127,7 +126,7 @@ class TestEstimates:
         cfg = make_cfg(trials=1_000_000)
         est = estimate_metrics(params, varz, cfg, Protocol.EHS_MRC)
         thr = thresholds(params)
-        ana = analytic.op_ceu_x1(params, varz, thr).value
+        ana = analytic.op_ceu_x1(params, varz, thr)
         assert abs(est["op_x1"].mean - ana) <= 3.0 * est["op_x1"].std_error
 
     def test_protocol_orderings(self):
@@ -252,7 +251,7 @@ class TestValidationReport:
         params, varz = setup_point()
 
         def broken(params, varz, thr):
-            return AnalyticReport(0.5, Exactness.EXACT)
+            return 0.5
 
         monkeypatch.setattr(analytic, "op_ceu_x1", broken)
         report = montecarlo.compare_with_analytic(
