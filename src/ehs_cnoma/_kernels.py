@@ -1,45 +1,78 @@
-"""Chunk kernel: the per-trial physics of protocols.py, reduced to counts and moments."""
+"""Chunk kernel: the per-trial physics of protocols.py, reduced to counts and moments.
+
+Every array of a chunk lives in a Workspace that is allocated once per
+estimator call and thread and reused by each chunk that thread runs. The
+physics runs on sub-blocks of SUB_TRIALS trials, whose temporaries are
+small enough for the allocator to keep between chunks, so only a
+thread's first chunk faults memory in.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import protocols
-from .model import SystemParams
+from .model import ChannelVariances, SystemParams
 from .protocols import Protocol, Thresholds
+
+SUB_TRIALS = 8192
+
+
+class Workspace:
+    """The reused arrays of one chunk of up to `size` trials.
+
+    draws: unit-mean exponential draws of the near-user, far-user and relay
+    gains. columns: c_x1, c_x2, c_x3, esc_total, p_relay. flags: out_x1,
+    out_x2_ccu, out_x3_ceu. scratch: two rows for the moments.
+    """
+
+    def __init__(self, size: int):
+        self.draws = np.empty((3, size))
+        self.columns = np.empty((5, size))
+        self.flags = np.empty((3, size), dtype=bool)
+        self.scratch = np.empty((2, size))
 
 
 def accumulate_chunk(
     params: SystemParams,
     thr: Thresholds,
     protocol: Protocol,
-    g_ccu: np.ndarray,
-    g_ceu: np.ndarray,
-    g_relay: np.ndarray,
+    varz: ChannelVariances,
+    ws: Workspace,
+    n: int,
 ):
-    """Chunk statistics: (n, means[5], m2[5], esc/p_relay co-moment, counts[3]).
+    """Statistics of the first n trials: (n, means[5], m2[5], esc/p_relay co-moment, counts[3]).
 
+    The gains are the workspace draws scaled by the variances.
     Continuous metric order: c_x1, c_x2, c_x3, esc_total, p_relay.
     Count order: out_x1, out_x2_ccu, out_x3_ceu. Moments use the two-pass
-    form over the chunk.
+    form over the whole chunk, so they do not depend on SUB_TRIALS.
     """
-    n = g_ccu.shape[0]
-    metrics = protocols.link_metrics(params, g_ccu, g_ceu, g_relay, protocol)
-    c_x1, c_x2, c_x3 = protocols.instantaneous_capacities(params, metrics, protocol)
-    flags = protocols.outage_flags(params, metrics, thr, protocol)
-    esc = (c_x1 + c_x2) + c_x3
+    lambdas = (varz.lambda_ccu, varz.lambda_ceu, varz.lambda_relay)
+    for lo in range(0, n, SUB_TRIALS):
+        block = slice(lo, min(lo + SUB_TRIALS, n))
+        g_ccu, g_ceu, g_relay = (lam * draw for lam, draw in zip(lambdas, ws.draws[:, block]))
+        metrics = protocols.link_metrics(params, g_ccu, g_ceu, g_relay, protocol)
+        cols = ws.columns[:, block]
+        # a value that holds for every trial (the baseline's c_x1 and out_x1)
+        # comes back as a scalar and is broadcast over the sub-block
+        cols[0], cols[1], cols[2] = protocols.instantaneous_capacities(params, metrics, protocol)
+        cols[4] = metrics.p_relay
+        np.add(cols[0], cols[1], out=cols[3])
+        np.add(cols[3], cols[2], out=cols[3])
+        flags = protocols.outage_flags(params, metrics, thr, protocol)
+        for row, flag in zip(ws.flags[:, block], flags):
+            row[...] = flag
 
     means = np.empty(5, dtype=np.float64)
     m2 = np.empty(5, dtype=np.float64)
-    # a value that holds for every trial (the baseline's c_x1 and out_x1)
-    # comes back as a scalar and is broadcast over the chunk
-    columns = np.broadcast_arrays(c_x1, c_x2, c_x3, esc, metrics.p_relay)
-    for i, arr in enumerate(columns):
-        mean = float(arr.mean())
-        means[i] = mean
-        m2[i] = float(np.sum((arr - mean) ** 2))
-    com = float(np.sum((esc - means[3]) * (metrics.p_relay - means[4])))
-    counts = np.array(
-        [np.count_nonzero(np.broadcast_to(flag, (n,))) for flag in flags], dtype=np.int64
-    )
+    dev, other = ws.scratch[:, :n]
+    for i, col in enumerate(ws.columns[:, :n]):
+        means[i] = col.mean()
+        np.subtract(col, means[i], out=dev)
+        m2[i] = np.square(dev, out=dev).sum()
+    np.subtract(ws.columns[3, :n], means[3], out=dev)
+    np.subtract(ws.columns[4, :n], means[4], out=other)
+    com = float(np.multiply(dev, other, out=dev).sum())
+    counts = np.count_nonzero(ws.flags[:, :n], axis=1).astype(np.int64)
     return n, means, m2, com, counts

@@ -200,14 +200,20 @@ def run_sweep(
         p_end = _point_params(spec, params, value)
         model.variances_from_distances(p_end)
         thresholds(p_end)
-    rows: list[SweepRow] = []
+    values, points = [], []
     for value in grid:
         p_point = _point_params(spec, params, value)
         varz = model.variances_from_distances(p_point)
         for protocol in spec.protocols:
-            estimates = montecarlo.estimate_metrics(p_point, varz, cfg, protocol, workers=workers)
-            forms = analytic.closed_forms(p_point, varz, protocol)
-            rows.extend(_point_rows(spec, value, cfg, protocol, estimates, forms))
+            values.append(value)
+            points.append((p_point, varz, protocol))
+    # one call draws each chunk once for every (point, protocol); taking its
+    # estimates in row order checks each one right before its closed forms
+    estimates = montecarlo.estimate_metrics(points, cfg, workers=workers)
+    rows: list[SweepRow] = []
+    for value, (p_point, varz, protocol), est in zip(values, points, estimates):
+        forms = analytic.closed_forms(p_point, varz, protocol)
+        rows.extend(_point_rows(spec, value, cfg, protocol, est, forms))
     return rows
 
 

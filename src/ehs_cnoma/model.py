@@ -98,18 +98,13 @@ def variances_from_distances(params: SystemParams) -> ChannelVariances:
         ) from None
 
 
-def sample_gains(
-    varz: ChannelVariances, seed: int, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exponential gains for trials [start, stop), one counter block per trial.
+def sample_gains(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit-mean exponential draws for trials [start, stop), one counter block per trial.
 
     Lane 0 feeds the near-user gain, lane 1 the far-user gain, lane 2 the
-    relay gain; inversion of the exponential CDF keeps every draw a pure
-    function of (seed, trial index).
+    relay gain. A point's gain is its variance times the draw, which equals
+    the inverse CDF -lambda * log1p(-u) bit for bit, so the draws of a trial
+    serve every point and stay a pure function of (seed, trial index).
     """
     u = _philox.uniform_lanes(seed, start, stop, lanes=3)
-    return (
-        -varz.lambda_ccu * np.log1p(-u[:, 0]),
-        -varz.lambda_ceu * np.log1p(-u[:, 1]),
-        -varz.lambda_relay * np.log1p(-u[:, 2]),
-    )
+    return -np.log1p(-u[:, 0]), -np.log1p(-u[:, 1]), -np.log1p(-u[:, 2])

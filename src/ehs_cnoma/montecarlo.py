@@ -1,10 +1,13 @@
 """Deterministic Monte-Carlo estimator with exact worker-count invariance.
 
-Trials are cut into fixed-size chunks; each chunk is reduced to counts and
-two-pass moments, and each chunk is folded into the running total in index
-order with the exact count-weighted update. The result is therefore a pure
-function of (params, variances, config) no matter how many workers ran the
-chunks, and memory does not grow with the trial count.
+Trials are cut into fixed-size chunks. Each chunk is drawn once, into a
+workspace its thread reuses for every chunk, and reduced to counts and
+two-pass moments at every point of the call; each point folds its chunks
+into its running total in index order with the exact count-weighted
+update. A point's result is therefore a pure function of (params,
+variances, protocol, config) no matter how many workers ran the chunks or
+which other points shared the call, and memory does not grow with the
+trial count.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from collections import deque
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -68,22 +73,36 @@ class ValidationReport:
         return any(row.status == "FAIL" for row in self.rows)
 
 
-def _run_chunk(params, varz, cfg, protocol, thr, lo, hi):
-    # an overflow leaves a non-finite moment, which estimate_metrics reports
-    # as one error rather than as a stream of numpy warnings
+def _run_chunk(points, thrs, cfg, local, lo, hi):
+    """Moments of every point on trials [lo, hi), drawn once into this thread's workspace."""
+    ws = getattr(local, "ws", None)
+    if ws is None:
+        ws = local.ws = _kernels.Workspace(min(CHUNK_TRIALS, cfg.trials))
+    n = hi - lo
+    # an overflow leaves a non-finite moment, which _finish reports as one
+    # error rather than as a stream of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        g_ccu, g_ceu, g_relay = model.sample_gains(varz, cfg.seed, lo, hi)
-        return _kernels.accumulate_chunk(params, thr, protocol, g_ccu, g_ceu, g_relay)
+        for start in range(lo, hi, _kernels.SUB_TRIALS):
+            stop = min(start + _kernels.SUB_TRIALS, hi)
+            lanes = ws.draws[:, start - lo : stop - lo]
+            for lane, draw in zip(lanes, model.sample_gains(cfg.seed, start, stop)):
+                lane[...] = draw
+        return [
+            _kernels.accumulate_chunk(params, thr, protocol, varz, ws, n)
+            for (params, varz, protocol), thr in zip(points, thrs)
+        ]
 
 
-def _chunk_parts(params, varz, cfg, protocol, workers):
-    """Each chunk's moments in index order, with at most 2 * threads chunks in flight."""
-    thr = thresholds(params)
+def _chunk_parts(points, cfg, workers):
+    """Each chunk's per-point moments in index order, with at most 2 * threads chunks in flight."""
+    thrs = [thresholds(params) for params, _, _ in points]
     starts = range(0, cfg.trials, CHUNK_TRIALS)
     threads = min(workers, os.cpu_count() or 1, len(starts))
+    # one workspace per thread, freed with this call
+    local = threading.local()
 
     def run(lo):
-        return _run_chunk(params, varz, cfg, protocol, thr, lo, min(lo + CHUNK_TRIALS, cfg.trials))
+        return _run_chunk(points, thrs, cfg, local, lo, min(lo + CHUNK_TRIALS, cfg.trials))
 
     if threads <= 1:
         yield from map(run, starts)
@@ -146,23 +165,14 @@ def _ratio_estimate(n, means, m2, com) -> Estimate:
     return Estimate(ratio, math.sqrt(max(var_ratio, 0.0) / n), n)
 
 
-def estimate_metrics(
-    params: SystemParams,
-    varz: ChannelVariances,
-    cfg: EstimatorConfig,
-    protocol: Protocol,
-    workers: int = 1,
-) -> dict[str, Estimate]:
-    """Monte-Carlo estimates of all capacity, outage, and power metrics.
+def _merge_parts(a, b):
+    # each point folds on its own; na * nb / n stays exact Python-int division
+    return [_merge(x, y) for x, y in zip(a, b)]
 
-    Returns Estimates keyed by the metric ids of analytic.closed_forms plus
-    mean_p_relay; ee is the ratio of the esc_total and mean_p_relay means
-    with a first-order standard error. Worker threads are capped at the CPU
-    count and the chunk count; the result does not depend on them.
-    """
-    # a left fold in index order, so every worker count gives the same bytes
-    parts = _chunk_parts(params, varz, cfg, protocol, workers)
-    n, means, m2, com, counts = functools.reduce(_merge, parts)
+
+def _finish(point, total) -> dict[str, Estimate]:
+    params, varz, _ = point
+    n, means, m2, com, counts = total
     if not (np.isfinite(means).all() and np.isfinite(m2).all() and math.isfinite(com)):
         raise ValueError(f"simulated moments overflow at {analytic._describe_point(params, varz)}")
     ee = _ratio_estimate(n, means, m2, com)
@@ -176,6 +186,32 @@ def estimate_metrics(
         out[metric] = _flag_estimate(n, counts, idx)
     out["ee"] = ee
     return out
+
+
+def estimate_metrics(
+    points: Iterable[tuple[SystemParams, ChannelVariances, Protocol]],
+    cfg: EstimatorConfig,
+    workers: int = 1,
+) -> Iterator[dict[str, Estimate]]:
+    """Monte-Carlo estimates of all capacity, outage, and power metrics at each point.
+
+    A point is (params, varz, protocol). Each chunk of trials is drawn once
+    and evaluated at every point, so all points share their draws, and each
+    point's estimate is the one a call with that point alone gives.
+
+    Returns an iterator with one dict per point, in order: Estimates keyed
+    by the metric ids of analytic.closed_forms plus mean_p_relay; ee is the
+    ratio of the esc_total and mean_p_relay means with a first-order
+    standard error. The simulation runs inside the call; the overflow and
+    energy-efficiency checks of a point run when its dict is taken, so a
+    caller that does other work point by point meets errors in point
+    order. Worker threads are capped at the CPU count and the chunk count;
+    the result does not depend on them.
+    """
+    points = list(points)
+    # a left fold in index order, so every worker count gives the same bytes
+    totals = functools.reduce(_merge_parts, _chunk_parts(points, cfg, workers))
+    return map(_finish, points, totals)
 
 
 def _row(metric: str, form: AnalyticReport, est: Estimate) -> ValidationRow:
@@ -204,7 +240,7 @@ def compare_with_analytic(
     errors. Approximate forms are listed with their gap for inspection and
     never fail on the gap alone.
     """
-    est = estimate_metrics(params, varz, cfg, protocol, workers=workers)
+    [est] = estimate_metrics([(params, varz, protocol)], cfg, workers=workers)
     forms = analytic.closed_forms(params, varz, protocol)
     rows = tuple(_row(m, form, est[m]) for m, form in forms.items())
     return ValidationReport(protocol, rows)

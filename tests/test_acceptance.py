@@ -37,7 +37,8 @@ def params_at(**overrides):
 def estimates_at(params, protocol, trials=100_000):
     varz = model.variances_from_distances(params)
     cfg = EstimatorConfig(trials=trials, seed=SEED)
-    return montecarlo.estimate_metrics(params, varz, cfg, protocol)
+    [est] = montecarlo.estimate_metrics([(params, varz, protocol)], cfg)
+    return est
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import io
@@ -5,11 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from ehs_cnoma import analytic, cli, model, montecarlo
+from ehs_cnoma import _kernels, _philox, analytic, cli, model, montecarlo
+from ehs_cnoma._philox import uniform_lanes
 from ehs_cnoma.cli import (
     ConfigError,
     SweepSpec,
@@ -204,14 +207,53 @@ class TestRunSweep:
             assert by_key[(protocol, "op", "x2")].analytic is not None
 
     def test_rows_match_direct_estimates(self):
-        spec, params, cfg = self.small_inputs(stop=10.0)
+        # one multi-point call per sweep gives every (point, protocol) the
+        # estimate of a call with that pair alone, at any worker count, for a
+        # trial count that is a multiple of neither the chunk nor the sub-block
+        trials = montecarlo.CHUNK_TRIALS + _kernels.SUB_TRIALS + 7
+        spec, params, _ = self.small_inputs(stop=10.0)
+        cfg = EstimatorConfig(trials=trials, seed=42)
+        pairs = [
+            (value, model.SystemParams(rho=db_to_linear(value)), protocol)
+            for value in spec.values()
+            for protocol in spec.protocols
+        ]
+        points = [(p, model.variances_from_distances(p), protocol) for _, p, protocol in pairs]
+        alone = [next(montecarlo.estimate_metrics([point], cfg)) for point in points]
+        for workers in (1, 2):
+            assert list(montecarlo.estimate_metrics(points, cfg, workers=workers)) == alone
+            rows = run_sweep(spec, params, cfg, workers=workers)
+            by_key = {(r.value, r.protocol, r.metric, r.symbol): r for r in rows}
+            for (value, _, protocol), est in zip(pairs, alone):
+                for metric_id, (metric, symbol) in cli._ROW_LAYOUT.items():
+                    row = by_key.get((value, protocol.value, metric, symbol))
+                    if row is not None:
+                        assert (row.simulated, row.std_error) == (
+                            est[metric_id].mean,
+                            est[metric_id].std_error,
+                        )
+
+    @pytest.mark.parametrize(
+        "variable, start, stop, step",
+        [("snr_db", 0.0, 10.0, 5.0), ("alpha", 0.2, 0.4, 0.1), ("d1", 0.3, 0.5, 0.1)],
+    )
+    def test_each_trial_drawn_once_per_sweep(self, variable, start, stop, step, monkeypatch):
+        # the gains depend only on (seed, trial), so every (point, protocol)
+        # of a sweep shares one draw of each chunk
+        drawn = []
+
+        def counting(seed, start, stop, lanes=3):
+            drawn.append(stop - start)
+            return uniform_lanes(seed, start, stop, lanes)
+
+        monkeypatch.setattr(_philox, "uniform_lanes", counting)
+        spec, params, _ = self.small_inputs(variable=variable, start=start, stop=stop, step=step)
+        cfg = EstimatorConfig(trials=montecarlo.CHUNK_TRIALS + 1000, seed=42)
         rows = run_sweep(spec, params, cfg)
-        point = model.SystemParams(rho=db_to_linear(10.0))
-        varz = model.variances_from_distances(point)
-        est = montecarlo.estimate_metrics(point, varz, cfg, Protocol.EHS_MRC)
-        by_key = {(r.protocol, r.metric, r.symbol): r for r in rows}
-        assert by_key[("ehs-mrc", "esc", "sum")].simulated == est["esc_total"].mean
-        assert by_key[("ehs-mrc", "op", "x1")].std_error == est["op_x1"].std_error
+        assert {(r.value, r.protocol) for r in rows} == {
+            (value, protocol.value) for value in spec.values() for protocol in Protocol
+        }
+        assert sum(drawn) == cfg.trials
 
     def test_metric_subset(self):
         spec, params, cfg = self.small_inputs(stop=10.0, metrics=("op",))
@@ -439,6 +481,34 @@ class TestMain:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert run.stdout.split() == ["False", "False"]
+
+    def test_benchmark_import_probe_prints_one_float(self):
+        # the benchmark times `import ehs_cnoma` with this probe in an
+        # isolated interpreter and reads its stdout as one float
+        root = Path(__file__).parents[1]
+        tree = ast.parse((root / "perfbench" / "run.py").read_text(encoding="utf-8"))
+        [probe] = [
+            node.value.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and getattr(node.targets[0], "id", None) == "IMPORT_PROBE"
+        ]
+        run = subprocess.run(
+            [sys.executable, "-I", "-c", probe, str(root / "src")],
+            capture_output=True, text=True, check=True, cwd=root,
+        )
+        assert run.stderr == ""
+        [line] = run.stdout.splitlines()
+        assert math.isfinite(float(line))
+        # the benchmark's meta line reads the chunk size
+        assert isinstance(montecarlo.CHUNK_TRIALS, int)
+
+    def test_threaded_run_leaves_no_thread_behind(self, capsys):
+        before = threading.active_count()
+        trials = str(2 * montecarlo.CHUNK_TRIALS + 1)
+        assert main(["--trials", trials, "--stop", "0", "--workers", "2"]) == 0
+        assert threading.active_count() == before
+        assert capsys.readouterr().err == ""
 
     def test_validate_passes(self, tmp_path, capsys):
         out = tmp_path / "v.csv"

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,35 +20,54 @@ def make_cfg(trials=100_000, seed=42):
     return EstimatorConfig(trials=trials, seed=seed)
 
 
+def estimate(params, varz, cfg, protocol, workers=1):
+    [est] = estimate_metrics([(params, varz, protocol)], cfg, workers=workers)
+    return est
+
+
 def chunk(params, varz, cfg, lo, hi, protocol=Protocol.EHS_MRC):
-    g_ccu, g_ceu, g_relay = model.sample_gains(varz, cfg.seed, lo, hi)
-    return _kernels.accumulate_chunk(params, thresholds(params), protocol, g_ccu, g_ceu, g_relay)
+    points = [(params, varz, protocol)]
+    [part] = montecarlo._run_chunk(points, [thresholds(params)], cfg, threading.local(), lo, hi)
+    return part
 
 
 class TestKernels:
     @pytest.mark.parametrize("protocol", list(Protocol))
     @pytest.mark.parametrize("snr_db", [0.0, 15.0, 30.0])
     def test_kernel_moments_match_numpy(self, protocol, snr_db):
-        # the chunk reduction against plain numpy on the same per-trial values
+        # the chunk reduction against plain numpy on the same per-trial
+        # values, for a full chunk and one shorter than a sub-block, in a
+        # workspace whose unused tail holds garbage
         params, varz = setup_point(rho=10.0 ** (snr_db / 10.0))
         thr = thresholds(params)
-        gains = model.sample_gains(varz, 42, 0, CHUNK_TRIALS)
-        metrics = protocols.link_metrics(params, *gains, protocol)
-        c_x1, c_x2, c_x3 = protocols.instantaneous_capacities(params, metrics, protocol)
-        flags = protocols.outage_flags(params, metrics, thr, protocol)
-        esc = (c_x1 + c_x2) + c_x3
-        columns = np.broadcast_arrays(c_x1, c_x2, c_x3, esc, metrics.p_relay)
+        for n in (CHUNK_TRIALS, _kernels.SUB_TRIALS // 2 + 3):
+            draws = model.sample_gains(42, 0, n)
+            lambdas = (varz.lambda_ccu, varz.lambda_ceu, varz.lambda_relay)
+            gains = [lam * draw for lam, draw in zip(lambdas, draws)]
+            metrics = protocols.link_metrics(params, *gains, protocol)
+            c_x1, c_x2, c_x3 = protocols.instantaneous_capacities(params, metrics, protocol)
+            flags = protocols.outage_flags(params, metrics, thr, protocol)
+            esc = (c_x1 + c_x2) + c_x3
+            columns = np.broadcast_arrays(c_x1, c_x2, c_x3, esc, metrics.p_relay)
 
-        n, means, m2, com, counts = _kernels.accumulate_chunk(params, thr, protocol, *gains)
-        assert n == CHUNK_TRIALS
-        assert means.tolist() == [arr.mean() for arr in columns]
-        assert m2 == pytest.approx([n * np.var(arr) for arr in columns], rel=1e-12)
-        assert com == pytest.approx(
-            n * np.cov(esc, metrics.p_relay, bias=True)[0, 1], rel=1e-12
-        )
-        assert counts.tolist() == [
-            np.count_nonzero(np.broadcast_to(flag, (n,))) for flag in flags
-        ]
+            ws = _kernels.Workspace(CHUNK_TRIALS)
+            for arr in (ws.draws, ws.columns, ws.scratch):
+                arr.fill(np.nan)
+            ws.flags.fill(True)
+            for lane, draw in zip(ws.draws, draws):
+                lane[:n] = draw
+            got_n, means, m2, com, counts = _kernels.accumulate_chunk(
+                params, thr, protocol, varz, ws, n
+            )
+            assert got_n == n
+            assert means.tolist() == [arr.mean() for arr in columns]
+            assert m2 == pytest.approx([n * np.var(arr) for arr in columns], rel=1e-12)
+            assert com == pytest.approx(
+                n * np.cov(esc, metrics.p_relay, bias=True)[0, 1], rel=1e-12
+            )
+            assert counts.tolist() == [
+                np.count_nonzero(np.broadcast_to(flag, (n,))) for flag in flags
+            ]
 
     def test_merge_equals_single_pass(self):
         params, varz = setup_point()
@@ -72,34 +93,50 @@ class TestKernels:
 class TestEstimates:
     def test_deterministic(self):
         params, varz = setup_point()
-        a = estimate_metrics(params, varz, make_cfg(trials=50_000), Protocol.EHS_MRC)
-        b = estimate_metrics(params, varz, make_cfg(trials=50_000), Protocol.EHS_MRC)
+        a = estimate(params, varz, make_cfg(trials=50_000), Protocol.EHS_MRC)
+        b = estimate(params, varz, make_cfg(trials=50_000), Protocol.EHS_MRC)
         assert a == b
 
     def test_worker_count_invariance(self):
         params, varz = setup_point()
         cfg = make_cfg(trials=150_000)
-        serial = estimate_metrics(params, varz, cfg, Protocol.EHS_MRC, workers=1)
-        threaded = estimate_metrics(params, varz, cfg, Protocol.EHS_MRC, workers=4)
+        serial = estimate(params, varz, cfg, Protocol.EHS_MRC, workers=1)
+        threaded = estimate(params, varz, cfg, Protocol.EHS_MRC, workers=4)
         assert serial == threaded
+
+    def test_each_thread_keeps_its_own_workspace(self, monkeypatch):
+        # more threads than cores and a short switch interval: a workspace
+        # shared between threads would mix the draws of different chunks
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        params, varz = setup_point()
+        points = [(params, varz, protocol) for protocol in Protocol]
+        cfg = make_cfg(trials=8 * CHUNK_TRIALS + 5)
+        serial = list(estimate_metrics(points, cfg))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = list(estimate_metrics(points, cfg, workers=4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
     def test_partial_and_multi_chunk_trial_counts(self):
         params, varz = setup_point()
         for trials in (1000, CHUNK_TRIALS, CHUNK_TRIALS + 7, 3 * CHUNK_TRIALS):
-            est = estimate_metrics(params, varz, make_cfg(trials=trials), Protocol.EHS_MRC)
+            est = estimate(params, varz, make_cfg(trials=trials), Protocol.EHS_MRC)
             assert all(e.n == trials for e in est.values())
 
     def test_standard_error_scales_with_trials(self):
         params, varz = setup_point()
-        small = estimate_metrics(params, varz, make_cfg(trials=CHUNK_TRIALS), Protocol.EHS_MRC)
-        large = estimate_metrics(params, varz, make_cfg(trials=4 * CHUNK_TRIALS), Protocol.EHS_MRC)
+        small = estimate(params, varz, make_cfg(trials=CHUNK_TRIALS), Protocol.EHS_MRC)
+        large = estimate(params, varz, make_cfg(trials=4 * CHUNK_TRIALS), Protocol.EHS_MRC)
         for metric in ("c_x2", "esc_total", "op_x3_ceu", "ee"):
             ratio = small[metric].std_error / large[metric].std_error
             assert 1.7 < ratio < 2.3, metric
 
     def test_ranges(self):
         params, varz = setup_point()
-        est = estimate_metrics(params, varz, make_cfg(), Protocol.EHS_MRC)
+        est = estimate(params, varz, make_cfg(), Protocol.EHS_MRC)
         for metric in ("op_x1", "op_x2_ccu", "op_x3_ceu"):
             assert 0.0 <= est[metric].mean <= 1.0
         for metric in ("c_x1", "c_x2", "c_x3", "esc_total"):
@@ -109,14 +146,14 @@ class TestEstimates:
 
     def test_sum_and_ratio_identities(self):
         params, varz = setup_point()
-        est = estimate_metrics(params, varz, make_cfg(), Protocol.EHS_MRC)
+        est = estimate(params, varz, make_cfg(), Protocol.EHS_MRC)
         parts = est["c_x1"].mean + est["c_x2"].mean + est["c_x3"].mean
         assert est["esc_total"].mean == pytest.approx(parts, rel=1e-12)
         assert est["ee"].mean == est["esc_total"].mean / est["mean_p_relay"].mean
 
     def test_certain_outage_above_sic_ceiling(self):
         params, varz = setup_point(r3=1.2)
-        est = estimate_metrics(params, varz, make_cfg(trials=10_000), Protocol.EHS_MRC)
+        est = estimate(params, varz, make_cfg(trials=10_000), Protocol.EHS_MRC)
         assert est["op_x2_ccu"].mean == 1.0
         assert est["op_x3_ceu"].mean == 1.0
         assert est["op_x2_ccu"].std_error == 0.0
@@ -124,15 +161,15 @@ class TestEstimates:
     def test_exact_outage_form_within_three_sigma(self):
         params, varz = setup_point()
         cfg = make_cfg(trials=1_000_000)
-        est = estimate_metrics(params, varz, cfg, Protocol.EHS_MRC)
+        est = estimate(params, varz, cfg, Protocol.EHS_MRC)
         thr = thresholds(params)
         ana = analytic.op_ceu_x1(params, varz, thr)
         assert abs(est["op_x1"].mean - ana) <= 3.0 * est["op_x1"].std_error
 
     def test_protocol_orderings(self):
         params, varz = setup_point()
-        ehs = estimate_metrics(params, varz, make_cfg(), Protocol.EHS_MRC)
-        hs = estimate_metrics(params, varz, make_cfg(), Protocol.HS_SC)
+        ehs = estimate(params, varz, make_cfg(), Protocol.EHS_MRC)
+        hs = estimate(params, varz, make_cfg(), Protocol.HS_SC)
         assert ehs["esc_total"].mean > hs["esc_total"].mean
         assert ehs["op_x3_ceu"].mean <= hs["op_x3_ceu"].mean
         # the near-user symbols see identical channels under both protocols
@@ -147,9 +184,12 @@ class TestEstimates:
             make_cfg(trials=0)
 
 
-def fake_chunk(params, varz, cfg, protocol, thr, lo, hi):
+def fake_chunk(points, thrs, cfg, local, lo, hi):
     # moments that depend on the chunk index, so a fold out of order shows
-    return hi - lo, np.full(5, 1.0 + lo), np.zeros(5), 0.0, np.zeros(3, dtype=np.int64)
+    return [
+        (hi - lo, np.full(5, 1.0 + lo), np.zeros(5), 0.0, np.zeros(3, dtype=np.int64))
+        for _ in points
+    ]
 
 
 class LazyFuture:
@@ -183,17 +223,25 @@ class RecordingPool:
 class TestChunkScheduling:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_flat_in_trials(self, workers, monkeypatch):
+        # the fake also stands in for the workspace, which _run_chunk allocates
         monkeypatch.setattr(montecarlo, "_run_chunk", fake_chunk)
-        params, varz = setup_point()
         cfg = make_cfg(trials=2 * 10 ** 8)
-        tracemalloc.start()
-        try:
-            est = estimate_metrics(params, varz, cfg, Protocol.EHS_MRC, workers=workers)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert est["c_x1"].n == cfg.trials
-        assert peak < 1 << 20
+        one = [(*setup_point(), Protocol.EHS_MRC)]
+        # the 14 (point, protocol) pairs of the default sweep
+        sweep = [
+            (*setup_point(rho=10.0 ** (snr_db / 10.0)), protocol)
+            for snr_db in range(0, 35, 5)
+            for protocol in Protocol
+        ]
+        for points in (one, sweep):
+            tracemalloc.start()
+            try:
+                estimates = list(estimate_metrics(points, cfg, workers=workers))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert [est["c_x1"].n for est in estimates] == [cfg.trials] * len(points)
+            assert peak < 1 << 20
 
     def test_worker_threads_capped(self, monkeypatch):
         pools = []
@@ -207,11 +255,10 @@ class TestChunkScheduling:
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         params, varz = setup_point()
         cfg = make_cfg(trials=10 * CHUNK_TRIALS)
-        serial = estimate_metrics(params, varz, cfg, Protocol.EHS_MRC, workers=1)
+        serial = estimate(params, varz, cfg, Protocol.EHS_MRC, workers=1)
         assert pools == []
-        assert estimate_metrics(params, varz, cfg, Protocol.EHS_MRC, workers=5000) == serial
-        estimate_metrics(params, varz, make_cfg(trials=2 * CHUNK_TRIALS), Protocol.EHS_MRC,
-                         workers=5000)
+        assert estimate(params, varz, cfg, Protocol.EHS_MRC, workers=5000) == serial
+        estimate(params, varz, make_cfg(trials=2 * CHUNK_TRIALS), Protocol.EHS_MRC, workers=5000)
         assert [pool.max_workers for pool in pools] == [3, 2]
         assert [pool.peak_in_flight for pool in pools] == [6, 2]
 
