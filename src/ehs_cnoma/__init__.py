@@ -22,7 +22,7 @@ from .montecarlo import (
     compare_with_analytic,
     estimate_metrics,
 )
-from .protocols import LinkMetrics, Protocol, Thresholds, thresholds
+from .protocols import Protocol, Thresholds, thresholds
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "Estimate",
     "EstimatorConfig",
     "Exactness",
-    "LinkMetrics",
     "Protocol",
     "SystemParams",
     "Thresholds",

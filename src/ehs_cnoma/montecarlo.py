@@ -50,7 +50,6 @@ class EstimatorConfig:
 class Estimate:
     mean: float
     std_error: float
-    n: int
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def _continuous_estimate(n, means, m2, idx) -> Estimate:
         se = math.sqrt(m2[idx] / (n - 1) / n)
     else:
         se = 0.0
-    return Estimate(float(means[idx]), se, n)
+    return Estimate(float(means[idx]), se)
 
 
 def _flag_estimate(n, counts, idx) -> Estimate:
@@ -144,7 +143,7 @@ def _flag_estimate(n, counts, idx) -> Estimate:
         se = math.sqrt(p * (1.0 - p) * n / (n - 1) / n)
     else:
         se = 0.0
-    return Estimate(float(p), se, n)
+    return Estimate(float(p), se)
 
 
 def _ratio_estimate(n, means, m2, com) -> Estimate:
@@ -152,17 +151,17 @@ def _ratio_estimate(n, means, m2, com) -> Estimate:
     mean_esc = float(means[3])
     mean_p = float(means[4])
     if mean_p == 0.0:
-        return Estimate(math.nan, math.nan, n)
+        return Estimate(math.nan, math.nan)
     ratio = mean_esc / mean_p
     if n <= 1:
-        return Estimate(ratio, 0.0, n)
+        return Estimate(ratio, 0.0)
     var_esc = m2[3] / (n - 1)
     var_p = m2[4] / (n - 1)
     cov = com / (n - 1)
     # first-order variance of a ratio of sample means
     with np.errstate(over="ignore", invalid="ignore"):
         var_ratio = (var_esc - 2.0 * ratio * cov + ratio * ratio * var_p) / (mean_p * mean_p)
-    return Estimate(ratio, math.sqrt(max(var_ratio, 0.0) / n), n)
+    return Estimate(ratio, math.sqrt(max(var_ratio, 0.0) / n))
 
 
 def _merge_parts(a, b):
@@ -209,8 +208,10 @@ def estimate_metrics(
     the result does not depend on them.
     """
     points = list(points)
-    # a left fold in index order, so every worker count gives the same bytes
-    totals = functools.reduce(_merge_parts, _chunk_parts(points, cfg, workers))
+    # a left fold in index order, so every worker count gives the same bytes;
+    # an overflow in the fold, as in a chunk, is left for _finish to report
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = functools.reduce(_merge_parts, _chunk_parts(points, cfg, workers))
     return map(_finish, points, totals)
 
 

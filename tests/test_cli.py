@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import math
 import os
@@ -242,9 +243,9 @@ class TestRunSweep:
         # of a sweep shares one draw of each chunk
         drawn = []
 
-        def counting(seed, start, stop, lanes=3):
+        def counting(seed, start, stop):
             drawn.append(stop - start)
-            return uniform_lanes(seed, start, stop, lanes)
+            return uniform_lanes(seed, start, stop)
 
         monkeypatch.setattr(_philox, "uniform_lanes", counting)
         spec, params, _ = self.small_inputs(variable=variable, start=start, stop=stop, step=step)
@@ -427,10 +428,13 @@ class TestMain:
             (["--start", "nan"], "start must be finite, got nan"),
             (["--step", "inf"], "step must be finite, got inf"),
             (["--step", "1e-12"], "sweep grid of 3e+13 points exceeds 1000000"),
+            # two chunks, so the overflow also meets the fold of their moments
+            (["--start", "3000", "--stop", "3000", "--trials", "32769"], "moments overflow"),
         ],
     )
     def test_bad_input_exits_two_with_one_line(self, argv, fragment, capsys):
-        assert main(argv + ["--trials", "100"]) == 2
+        # the default goes first, so a case may set its own trial count
+        assert main(["--trials", "100"] + argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert fragment in err
@@ -502,6 +506,34 @@ class TestMain:
         assert math.isfinite(float(line))
         # the benchmark's meta line reads the chunk size
         assert isinstance(montecarlo.CHUNK_TRIALS, int)
+
+    def test_benchmark_hooks_count_what_the_argv_asks(self, capsys, monkeypatch):
+        # the benchmark's traced run wraps package functions by name; every
+        # layer must keep a hook, and the exact counts it reports must follow
+        # from the argv alone
+        root = Path(__file__).parents[1]
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_spans", root / "perfbench" / "spans.py"
+        )
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer()
+        assert tracer.absent == []
+        trials = montecarlo.CHUNK_TRIALS + 1000
+        argv = ["--trials", str(trials), "--stop", "5", "--workers", "1"]
+        with tracer.installed(), tracer.span("cli:main", "cli"):
+            assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        metrics = spans.layer_metrics(tracer.spans, tracer.absent)
+        # snr_db 0 and 5, each for both protocols; two chunks, drawn once
+        pairs, chunks = 2 * 2, 2
+        assert metrics["philox.blocks"] == trials
+        assert metrics["kernel.calls"] == chunks * pairs
+        assert metrics["kernel.trials"] == trials * pairs
+        # a header, then 8 ehs-mrc and 6 hs-sc rows per point
+        assert len(out.splitlines()) - 1 == 2 * (8 + 6)
 
     def test_threaded_run_leaves_no_thread_behind(self, capsys):
         before = threading.active_count()

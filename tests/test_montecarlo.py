@@ -43,17 +43,17 @@ class TestKernels:
         for n in (CHUNK_TRIALS, _kernels.SUB_TRIALS // 2 + 3):
             draws = model.sample_gains(42, 0, n)
             lambdas = (varz.lambda_ccu, varz.lambda_ceu, varz.lambda_relay)
-            gains = [lam * draw for lam, draw in zip(lambdas, draws)]
-            metrics = protocols.link_metrics(params, *gains, protocol)
-            c_x1, c_x2, c_x3 = protocols.instantaneous_capacities(params, metrics, protocol)
-            flags = protocols.outage_flags(params, metrics, thr, protocol)
+            g_ccu, g_ceu, g_relay = [lam * draw for lam, draw in zip(lambdas, draws)]
+            c_x2, out_x2, decoded_x3, p_relay = protocols.near_user(params, thr, g_ccu)
+            c_x1, c_x3, out_x1, out_x3 = protocols.far_user(
+                params, thr, protocol, g_ceu, g_relay, p_relay, decoded_x3
+            )
             esc = (c_x1 + c_x2) + c_x3
-            columns = np.broadcast_arrays(c_x1, c_x2, c_x3, esc, metrics.p_relay)
+            columns = np.broadcast_arrays(c_x1, c_x2, c_x3, esc, p_relay)
 
             ws = _kernels.Workspace(CHUNK_TRIALS)
             for arr in (ws.draws, ws.columns, ws.scratch):
                 arr.fill(np.nan)
-            ws.flags.fill(True)
             for lane, draw in zip(ws.draws, draws):
                 lane[:n] = draw
             got_n, means, m2, com, counts = _kernels.accumulate_chunk(
@@ -63,10 +63,10 @@ class TestKernels:
             assert means.tolist() == [arr.mean() for arr in columns]
             assert m2 == pytest.approx([n * np.var(arr) for arr in columns], rel=1e-12)
             assert com == pytest.approx(
-                n * np.cov(esc, metrics.p_relay, bias=True)[0, 1], rel=1e-12
+                n * np.cov(esc, p_relay, bias=True)[0, 1], rel=1e-12
             )
             assert counts.tolist() == [
-                np.count_nonzero(np.broadcast_to(flag, (n,))) for flag in flags
+                np.count_nonzero(np.broadcast_to(flag, (n,))) for flag in (out_x1, out_x2, out_x3)
             ]
 
     def test_merge_equals_single_pass(self):
@@ -124,7 +124,12 @@ class TestEstimates:
         params, varz = setup_point()
         for trials in (1000, CHUNK_TRIALS, CHUNK_TRIALS + 7, 3 * CHUNK_TRIALS):
             est = estimate(params, varz, make_cfg(trials=trials), Protocol.EHS_MRC)
-            assert all(e.n == trials for e in est.values())
+            # an outage estimate is a count over exactly `trials` trials, and
+            # its standard error is that of a proportion of `trials`
+            for metric in ("op_x1", "op_x2_ccu", "op_x3_ceu"):
+                p, se = est[metric].mean, est[metric].std_error
+                assert p * trials == pytest.approx(round(p * trials), abs=1e-6)
+                assert se * se * (trials - 1) == pytest.approx(p * (1.0 - p), rel=1e-12)
 
     def test_standard_error_scales_with_trials(self):
         params, varz = setup_point()
@@ -240,7 +245,7 @@ class TestChunkScheduling:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert [est["c_x1"].n for est in estimates] == [cfg.trials] * len(points)
+            assert len(estimates) == len(points)
             assert peak < 1 << 20
 
     def test_worker_threads_capped(self, monkeypatch):

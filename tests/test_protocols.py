@@ -1,37 +1,36 @@
+import math
+
 import pytest
 
-from ehs_cnoma import analytic, protocols
+from ehs_cnoma import analytic
 from ehs_cnoma.model import SystemParams, variances_from_distances
 from ehs_cnoma.protocols import (
     Protocol,
     Thresholds,
     decode_threshold,
-    instantaneous_capacities,
-    link_metrics,
-    outage_flags,
+    far_user,
+    near_user,
     relay_power,
     thresholds,
 )
 
 RHO_15DB = 10.0 ** 1.5
+# thresholds that every symbol clears at unit gains
+LOW = Thresholds(0.5, 0.5, 0.5)
 
 
 def make_params(**overrides):
     return SystemParams(rho=overrides.pop("rho", RHO_15DB), **overrides)
 
 
-def metrics_with(**overrides):
-    base = dict(
-        snr_x1_ceu=100.0,
-        sinr_x3_ccu=8.9,
-        snr_x2_ccu=100.0,
-        sinr_x3_ceu_direct=8.9,
-        p_relay=1.0,
-        snr_x3_relay=100.0,
-        snr_x3_combined=100.0,
+def trial(params, gains, protocol=Protocol.EHS_MRC, thr=LOW):
+    """(c_x1, c_x2, c_x3), (out_x1, out_x2, out_x3) and p_relay of one realization."""
+    g_ccu, g_ceu, g_relay = gains
+    c_x2, out_x2, decoded_x3, p_relay = near_user(params, thr, g_ccu)
+    c_x1, c_x3, out_x1, out_x3 = far_user(
+        params, thr, protocol, g_ceu, g_relay, p_relay, decoded_x3
     )
-    base.update(overrides)
-    return protocols.LinkMetrics(**base)
+    return (c_x1, c_x2, c_x3), (out_x1, out_x2, out_x3), p_relay
 
 
 class TestThresholds:
@@ -45,10 +44,12 @@ class TestThresholds:
         assert decode_threshold(1.0, 0.5) > decode_threshold(1.0, 0.3)
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            decode_threshold(0.0, 0.3)
-        with pytest.raises(ValueError):
-            decode_threshold(1.0, 1.0)
+        # the rate and alpha ranges are SystemParams checks; only the
+        # overflow is decode_threshold's own
+        with pytest.raises(ValueError, match="overflows at rate=1.0, alpha=0.9995"):
+            decode_threshold(1.0, 0.9995)
+        with pytest.raises(ValueError, match="overflows at rate=600.0, alpha=0.3"):
+            decode_threshold(600.0, 0.3)
 
     def test_struct_from_params(self):
         thr = thresholds(make_params(r1=0.5, r2=1.0, r3=1.5))
@@ -85,125 +86,111 @@ class TestHarvesting:
 
 class TestLinkMetrics:
     def test_enhanced_worked_example(self):
+        # rho = 10 at gains (1, 1, 0.5): snr_x1 = 10, snr_x2 = 1, the near
+        # user's x3 SINR 9/2 and the direct one 4.5, the relayed SNR 8.1 * 0.5
         params = make_params(rho=10.0)
-        m = link_metrics(params, 1.0, 1.0, 0.5, Protocol.EHS_MRC)
-        assert m.snr_x1_ceu == pytest.approx(10.0, rel=1e-15)
-        assert m.sinr_x3_ccu == pytest.approx(4.5, rel=1e-15)
-        assert m.snr_x2_ccu == pytest.approx(1.0, rel=1e-15)
-        assert m.sinr_x3_ceu_direct == pytest.approx(4.5, rel=1e-15)
-        assert m.p_relay == pytest.approx(8.1, abs=1e-12)
-        assert m.snr_x3_relay == pytest.approx(4.05, abs=1e-12)
-        assert m.snr_x3_combined == pytest.approx(8.55, abs=1e-12)
+        caps, flags, p_relay = trial(params, (1.0, 1.0, 0.5))
+        assert caps[0] == pytest.approx(0.3 * math.log2(11.0), rel=1e-15)
+        assert caps[1] == pytest.approx(0.35, rel=1e-15)
+        assert caps[2] == pytest.approx(0.35 * math.log2(1.0 + 4.5 + 4.05), rel=1e-14)
+        assert p_relay == pytest.approx(8.1, abs=1e-12)
+        assert flags == (False, False, False)
 
     def test_sic_interference_ceiling(self):
+        # the near user's x3 SINR rises toward p_f/p_n and never reaches it
         params = make_params()
-        weak = link_metrics(params, 1.0, 1.0, 1.0, Protocol.EHS_MRC)
-        strong = link_metrics(params, 1e12, 1.0, 1.0, Protocol.EHS_MRC)
         ceiling = params.p_f / params.p_n
-        assert weak.sinr_x3_ccu < strong.sinr_x3_ccu < ceiling
-        assert strong.sinr_x3_ccu > ceiling - 1e-6
+        below = Thresholds(LOW.psi_r1, LOW.psi_r2, ceiling - 1e-6)
+        at = Thresholds(LOW.psi_r1, LOW.psi_r2, ceiling)
+        assert not near_user(params, below, 1.0)[2]
+        assert near_user(params, below, 1e12)[2]
+        assert not near_user(params, at, 1e12)[2]
 
     def test_baseline_shares_everything_but_combining(self):
+        # the near user's part takes no protocol; at these gains the direct
+        # x3 SINR 4.5 beats the relayed 4.05, so selection keeps the direct one
         params = make_params(rho=10.0)
-        gains = (1.0, 1.0, 0.5)
-        ehs = link_metrics(params, *gains, Protocol.EHS_MRC)
-        hs = link_metrics(params, *gains, Protocol.HS_SC)
-        assert hs.snr_x1_ceu == 0.0
-        assert hs.sinr_x3_ccu == ehs.sinr_x3_ccu
-        assert hs.snr_x2_ccu == ehs.snr_x2_ccu
-        assert hs.sinr_x3_ceu_direct == ehs.sinr_x3_ceu_direct
-        assert hs.p_relay == ehs.p_relay
-        assert hs.snr_x3_relay == ehs.snr_x3_relay
-        assert hs.snr_x3_combined == max(ehs.sinr_x3_ceu_direct, ehs.snr_x3_relay)
-        assert hs.snr_x3_combined <= ehs.snr_x3_combined
+        ehs, ehs_flags, _ = trial(params, (1.0, 1.0, 0.5), Protocol.EHS_MRC)
+        hs, hs_flags, _ = trial(params, (1.0, 1.0, 0.5), Protocol.HS_SC)
+        assert hs[0] == 0.0 and hs_flags[0] is True
+        assert hs[1] == ehs[1] and hs_flags[1] == ehs_flags[1]
+        assert hs[2] == pytest.approx(0.35 * math.log2(1.0 + 4.5), rel=1e-15)
+        assert hs[2] < ehs[2]
 
     def test_power_split_changes_relay_branch_only(self):
-        low = link_metrics(make_params(delta=0.1), 1.0, 1.0, 1.0, Protocol.EHS_MRC)
-        high = link_metrics(make_params(delta=0.9), 1.0, 1.0, 1.0, Protocol.EHS_MRC)
-        assert low.sinr_x3_ccu == high.sinr_x3_ccu
-        assert low.snr_x2_ccu == high.snr_x2_ccu
-        assert low.snr_x1_ceu == high.snr_x1_ceu
-        assert low.p_relay < high.p_relay
-        assert low.snr_x3_combined < high.snr_x3_combined
+        low_caps, low_flags, low_p = trial(make_params(delta=0.1), (1.0, 1.0, 1.0))
+        high_caps, high_flags, high_p = trial(make_params(delta=0.9), (1.0, 1.0, 1.0))
+        assert low_caps[:2] == high_caps[:2]
+        assert low_flags == high_flags
+        assert low_p < high_p
+        assert low_caps[2] < high_caps[2]
 
 
 class TestCapacities:
     def test_exact_log_points(self):
-        params = make_params(alpha=0.3)
-        m = metrics_with(snr_x1_ceu=3.0, snr_x2_ccu=1.0, snr_x3_combined=7.0)
-        c_x1, c_x2, c_x3 = instantaneous_capacities(params, m, Protocol.EHS_MRC)
+        # rho = 1 at gains (10, 3, g): snr_x1 = 3, snr_x2 = 1, and g sets the
+        # MRC-combined x3 SNR to 7 up to rounding
+        params = make_params(rho=1.0, alpha=0.3)
+        g_relay = (7.0 - 2.7 / 1.3) / relay_power(params, 10.0)
+        (c_x1, c_x2, c_x3), _, _ = trial(params, (10.0, 3.0, g_relay))
         assert c_x1 == pytest.approx(0.6, rel=1e-15)  # 0.3 * log2(4)
         assert c_x2 == pytest.approx(0.35, rel=1e-15)  # 0.35 * log2(2)
-        assert c_x3 == pytest.approx(1.05, rel=1e-15)  # 0.35 * log2(8)
+        assert c_x3 == pytest.approx(1.05, rel=1e-14)  # 0.35 * log2(8)
 
     def test_baseline_never_counts_x1(self):
-        params = make_params()
-        m = metrics_with(snr_x1_ceu=3.0)
-        c_x1, _, _ = instantaneous_capacities(params, m, Protocol.HS_SC)
+        (c_x1, _, _), _, _ = trial(make_params(), (1.0, 1e6, 1.0), Protocol.HS_SC)
         assert c_x1 == 0.0
 
     def test_zero_snr_zero_capacity(self):
-        params = make_params()
-        m = metrics_with(snr_x1_ceu=0.0, snr_x2_ccu=0.0, snr_x3_combined=0.0)
-        assert instantaneous_capacities(params, m, Protocol.EHS_MRC) == (0.0, 0.0, 0.0)
+        caps, _, _ = trial(make_params(rho=0.0), (1.0, 1.0, 1.0))
+        assert caps == (0.0, 0.0, 0.0)
 
     def test_monotone_in_rho(self):
         prev = (0.0, 0.0, 0.0)
         for rho in (0.5, 2.0, 10.0, 50.0):
-            params = make_params(rho=rho)
-            m = link_metrics(params, 1.0, 0.8, 0.6, Protocol.EHS_MRC)
-            caps = instantaneous_capacities(params, m, Protocol.EHS_MRC)
+            caps, _, _ = trial(make_params(rho=rho), (1.0, 0.8, 0.6))
             assert all(c >= p for c, p in zip(caps, prev))
             prev = caps
 
 
 class TestOutage:
-    PSI = decode_threshold(1.0, 0.3)
+    # rho = 10 at gains (1, 1, 0.5): snr_x1 = 10, snr_x2 = 1, the near
+    # user's x3 SINR 4.5, the direct x3 SINR 4.5 and the MRC-combined 8.55
+    GAINS = (1.0, 1.0, 0.5)
 
-    def thr(self):
-        return Thresholds(self.PSI, self.PSI, self.PSI)
+    def flags(self, thr, protocol=Protocol.EHS_MRC):
+        return trial(make_params(rho=10.0), self.GAINS, protocol, thr)[1]
 
     def test_all_clear(self):
-        flags = outage_flags(make_params(), metrics_with(), self.thr(), Protocol.EHS_MRC)
-        assert flags == (False, False, False)
+        assert self.flags(Thresholds(1.0, 0.5, 4.0)) == (False, False, False)
 
     def test_x2_below_threshold(self):
-        m = metrics_with(snr_x2_ccu=6.0)
-        flags = outage_flags(make_params(), m, self.thr(), Protocol.EHS_MRC)
-        assert flags == (False, True, False)
+        assert self.flags(Thresholds(1.0, 1.5, 4.0)) == (False, True, False)
 
     def test_failed_sic_marks_both_near_user_symbols(self):
-        # near user failing x3 blocks x2 and invalidates the relayed copy
-        m = metrics_with(sinr_x3_ccu=6.0)
-        flags = outage_flags(make_params(), m, self.thr(), Protocol.EHS_MRC)
-        assert flags == (False, True, True)
+        # near user failing x3 blocks x2 and invalidates the relayed copy,
+        # although the combined SNR 8.55 clears the threshold
+        assert self.flags(Thresholds(1.0, 0.5, 5.0)) == (False, True, True)
 
     def test_x1_below_threshold(self):
-        m = metrics_with(snr_x1_ceu=6.0)
-        flags = outage_flags(make_params(), m, self.thr(), Protocol.EHS_MRC)
-        assert flags == (True, False, False)
+        assert self.flags(Thresholds(11.0, 0.5, 4.0)) == (True, False, False)
 
     def test_threshold_equality_decodes(self):
-        m = metrics_with(
-            snr_x1_ceu=self.PSI,
-            sinr_x3_ccu=self.PSI,
-            snr_x2_ccu=self.PSI,
-            snr_x3_combined=self.PSI,
-        )
-        flags = outage_flags(make_params(), m, self.thr(), Protocol.EHS_MRC)
-        assert flags == (False, False, False)
+        # x1, x2 and the near user's x3 sit on their thresholds; under
+        # selection the far user's x3 SINR is the direct 4.5 too
+        thr = Thresholds(10.0, 1.0, 4.5)
+        assert self.flags(thr) == (False, False, False)
+        assert self.flags(thr, Protocol.HS_SC)[1:] == (False, False)
 
     def test_baseline_x1_always_out(self):
-        m = metrics_with(snr_x1_ceu=1e9)
-        flags = outage_flags(make_params(), m, self.thr(), Protocol.HS_SC)
+        _, flags, _ = trial(make_params(), (1.0, 1e9, 1.0), Protocol.HS_SC)
         assert flags[0] is True
 
     def test_threshold_above_sic_ceiling_is_certain_outage(self):
-        # psi_r3 exceeds p_f/p_n = 9, which sinr_x3_ccu can never reach
+        # psi_r3 exceeds p_f/p_n = 9, which the near user's x3 SINR never reaches
         params = make_params(r3=1.2)
         thr = thresholds(params)
         assert thr.psi_r3 > params.p_f / params.p_n
         for gains in ((0.1, 0.1, 0.1), (10.0, 10.0, 10.0), (1e6, 1e6, 1e6)):
-            m = link_metrics(params, *gains, Protocol.EHS_MRC)
-            _, out_x2, out_x3 = outage_flags(params, m, thr, Protocol.EHS_MRC)
+            _, (_, out_x2, out_x3), _ = trial(params, gains, thr=thr)
             assert out_x2 and out_x3
