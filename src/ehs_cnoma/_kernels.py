@@ -1,84 +1,128 @@
 """Chunk kernel: the per-trial physics of protocols.py, reduced to counts and moments.
 
+One call covers every protocol asked at one (params, varz) point. The
+protocols share the near user, so the physics runs on sub-blocks of
+SUB_TRIALS trials with near_user called once per sub-block and far_user
+once per protocol, and the moments of the shared columns (c_x2, p_relay)
+and the x2 outage count are taken once and reused for every protocol.
 Every array of a chunk lives in a Workspace that is allocated once per
-estimator call and thread and reused by each chunk that thread runs. The
-physics runs on sub-blocks of SUB_TRIALS trials: near_user and far_user
-write each sub-block's continuous metrics into the workspace columns, and
-its outage flags are counted at once, so no flag array outlives a
-sub-block. The temporaries are small enough for the allocator to keep
-between chunks, so only a thread's first chunk faults memory in.
+estimator call and thread and reused by each chunk that thread runs;
+model.sample_gains writes the draws into it lane-major. Outage flags are
+counted per sub-block, so no flag array outlives one. The temporaries are
+small enough for the allocator to keep between chunks, so only a thread's
+first chunk faults memory in.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from . import protocols
 from .model import ChannelVariances, SystemParams
-from .protocols import Protocol, Thresholds
+from .protocols import Protocol, Thresholds, far_user, near_user
 
 SUB_TRIALS = 8192
 
 
 class Workspace:
-    """The reused arrays of one chunk of up to `size` trials.
+    """The reused arrays of one chunk of up to `size` trials: ten rows of doubles.
 
     draws: unit-mean exponential draws of the near-user, far-user and relay
-    gains. columns: c_x1, c_x2, c_x3, esc_total, p_relay. scratch: two rows
-    for the moments.
+    gains, one lane per row. shared: c_x2 and p_relay, which every protocol
+    at a point shares. far: two rows per protocol, c_x1 (which becomes
+    esc_total once its moments are taken) and c_x3; a protocol whose c_x1
+    is a constant writes only esc_total there. scratch: one row for the
+    moments.
     """
 
     def __init__(self, size: int):
         self.draws = np.empty((3, size))
-        self.columns = np.empty((5, size))
-        self.scratch = np.empty((2, size))
+        self.shared = np.empty((2, size))
+        self.far = np.empty((len(Protocol), 2, size))
+        self.scratch = np.empty(size)
+
+
+def _count(flag, size: int) -> int:
+    # a scalar flag holds for every trial of the sub-block
+    return np.count_nonzero(flag) if np.ndim(flag) else size * flag
+
+
+def _mean_m2(col, dev):
+    mean = col.mean()
+    np.subtract(col, mean, out=dev)
+    return mean, np.square(dev, out=dev).sum()
 
 
 def accumulate_chunk(
     params: SystemParams,
     thr: Thresholds,
-    protocol: Protocol,
+    protocols: Sequence[Protocol],
     varz: ChannelVariances,
     ws: Workspace,
     n: int,
 ):
-    """Statistics of the first n trials: (n, means[5], m2[5], esc/p_relay co-moment, counts[3]).
+    """Statistics of the first n trials: (n, [(means[5], m2[5], esc/p_relay co-moment, counts[3])]).
 
-    The gains are the workspace draws scaled by the variances.
+    One entry per protocol, in the order given; the protocols must be
+    distinct. The gains are the workspace draws scaled by the variances.
     Continuous metric order: c_x1, c_x2, c_x3, esc_total, p_relay.
     Count order: out_x1, out_x2_ccu, out_x3_ceu. Moments use the two-pass
-    form over the whole chunk, so they do not depend on SUB_TRIALS.
+    form over the whole chunk, so they do not depend on SUB_TRIALS, and an
+    entry equals that of a call with its protocol alone bit for bit.
     """
-    counts = np.zeros(3, dtype=np.int64)
+    far = ws.far[: len(protocols)]
+    # each protocol's c_x1: its workspace row, or the scalar far_user returns
+    # when c_x1 is the same for every trial
+    x1 = list(far[:, 0, :n])
+    counts = np.zeros((len(protocols), 3), dtype=np.int64)
     for lo in range(0, n, SUB_TRIALS):
         block = slice(lo, min(lo + SUB_TRIALS, n))
+        size = block.stop - lo
         draw_ccu, draw_ceu, draw_relay = ws.draws[:, block]
-        c_x2, out_x2, decoded_x3, p_relay = protocols.near_user(
-            params, thr, varz.lambda_ccu * draw_ccu
-        )
-        c_x1, c_x3, out_x1, out_x3 = protocols.far_user(
-            params, thr, protocol, varz.lambda_ceu * draw_ceu, varz.lambda_relay * draw_relay,
-            p_relay, decoded_x3,
-        )
-        cols = ws.columns[:, block]
-        # the baseline's c_x1 and out_x1 hold for every trial and come back
-        # as scalars: c_x1 is broadcast, out_x1 counts the whole sub-block
-        cols[0], cols[1], cols[2], cols[4] = c_x1, c_x2, c_x3, p_relay
-        np.add(cols[0], cols[1], out=cols[3])
-        np.add(cols[3], cols[2], out=cols[3])
-        counts += [
-            np.count_nonzero(flag) if np.ndim(flag) else (block.stop - lo) * flag
-            for flag in (out_x1, out_x2, out_x3)
-        ]
+        c_x2, out_x2, decoded_x3, p_relay = near_user(params, thr, varz.lambda_ccu * draw_ccu)
+        shared = ws.shared[:, block]
+        shared[0], shared[1] = c_x2, p_relay
+        counts[:, 1] += _count(out_x2, size)
+        g_ceu = varz.lambda_ceu * draw_ceu
+        g_relay = varz.lambda_relay * draw_relay
+        for k, protocol in enumerate(protocols):
+            c_x1, c_x3, out_x1, out_x3 = far_user(
+                params, thr, protocol, g_ceu, g_relay, p_relay, decoded_x3
+            )
+            cols = far[k, :, block]
+            if np.ndim(c_x1):
+                cols[0] = c_x1
+            else:
+                x1[k] = c_x1
+            cols[1] = c_x3
+            counts[k, 0] += _count(out_x1, size)
+            counts[k, 2] += _count(out_x3, size)
 
-    means = np.empty(5, dtype=np.float64)
-    m2 = np.empty(5, dtype=np.float64)
-    dev, other = ws.scratch[:, :n]
-    for i, col in enumerate(ws.columns[:, :n]):
-        means[i] = col.mean()
-        np.subtract(col, means[i], out=dev)
-        m2[i] = np.square(dev, out=dev).sum()
-    np.subtract(ws.columns[3, :n], means[3], out=dev)
-    np.subtract(ws.columns[4, :n], means[4], out=other)
-    com = float(np.multiply(dev, other, out=dev).sum())
-    return n, means, m2, com, counts
+    dev = ws.scratch[:n]
+    c_x2, p_relay = ws.shared[:, :n]
+    mean_x2, m2_x2 = _mean_m2(c_x2, dev)
+    mean_p = p_relay.mean()
+    # p_relay is not read again, so its row keeps the deviations for the co-moments
+    dev_p = np.subtract(p_relay, mean_p, out=p_relay)
+    m2_p = np.square(dev_p, out=dev).sum()
+    stats = []
+    for k, c_x1 in enumerate(x1):
+        esc, c_x3 = far[k, :, :n]
+        if np.ndim(c_x1):
+            mean_x1, m2_x1 = _mean_m2(c_x1, dev)
+        else:
+            # the baseline's c_x1 is 0 on every trial
+            mean_x1, m2_x1 = c_x1, 0.0
+        # c_x1 is esc's own row or a scalar, so esc_total replaces it in place
+        np.add(c_x1, c_x2, out=esc)
+        np.add(esc, c_x3, out=esc)
+        mean_x3, m2_x3 = _mean_m2(c_x3, dev)
+        mean_esc = esc.mean()
+        np.subtract(esc, mean_esc, out=esc)
+        com = float(np.multiply(esc, dev_p, out=dev).sum())
+        m2_esc = np.square(esc, out=esc).sum()
+        means = np.array([mean_x1, mean_x2, mean_x3, mean_esc, mean_p])
+        m2 = np.array([m2_x1, m2_x2, m2_x3, m2_esc, m2_p])
+        stats.append((means, m2, com, counts[k]))
+    return n, stats

@@ -13,12 +13,14 @@ _SH11 = np.uint64(11)
 _INV53 = 1.0 / float(1 << 53)
 
 
-def uniform_lanes(seed: int, start: int, stop: int) -> np.ndarray:
+def uniform_lanes(seed: int, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
     """Doubles in [0, 1) from output words 0, 1 and 2 of blocks [start, stop).
 
     Block b is numpy's Philox4x64-10 run with key (seed, 0) and counter b.
-    Shape (n, 3); word 3 is not used. Uses the top 53 bits of each word, so
-    every value is exactly representable and strictly below 1.
+    Lane-major, shape (3, n): row k holds word k of every block; word 3 is
+    not used. Each lane is scaled from the words straight into its row of
+    `out` (a new array if None), which is returned. Uses the top 53 bits of
+    each word, so every value is exactly representable and strictly below 1.
     """
     # numpy.random is not loaded by `import numpy`; importing it here keeps
     # it off the package import path
@@ -27,7 +29,13 @@ def uniform_lanes(seed: int, start: int, stop: int) -> np.ndarray:
     if stop < start:
         raise ValueError(f"empty or inverted block range [{start}, {stop})")
     n = stop - start
+    if out is None:
+        out = np.empty((3, n))
     # the generator steps its counter before each block, so start one below
     gen = Philox(key=seed, counter=(start - 1) % 2 ** 256)
-    words = gen.random_raw(4 * n).reshape(n, 4)[:, :3]
-    return (words >> _SH11).astype(np.float64) * _INV53
+    words = gen.random_raw(4 * n)
+    np.right_shift(words, _SH11, out=words)
+    for lane, row in enumerate(out):
+        # the 53-bit words convert to double exactly, and the scale is a power of 2
+        np.multiply(words[lane::4], _INV53, out=row)
+    return out

@@ -207,8 +207,10 @@ def run_sweep(
         for protocol in spec.protocols:
             values.append(value)
             points.append((p_point, varz, protocol))
-    # one call draws each chunk once for every (point, protocol); taking its
-    # estimates in row order checks each one right before its closed forms
+    # one call draws each chunk once for every (point, protocol), and the
+    # protocols of a point sit side by side, so they share one kernel pass;
+    # taking its estimates in row order checks each one right before its
+    # closed forms
     estimates = montecarlo.estimate_metrics(points, cfg, workers=workers)
     rows: list[SweepRow] = []
     for value, (p_point, varz, protocol), est in zip(values, points, estimates):

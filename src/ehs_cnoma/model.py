@@ -97,13 +97,18 @@ def variances_from_distances(params: SystemParams) -> ChannelVariances:
         ) from None
 
 
-def sample_gains(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sample_gains(seed: int, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
     """Unit-mean exponential draws for trials [start, stop), one counter block per trial.
 
-    Lane 0 feeds the near-user gain, lane 1 the far-user gain, lane 2 the
-    relay gain. A point's gain is its variance times the draw, which equals
-    the inverse CDF -lambda * log1p(-u) bit for bit, so the draws of a trial
-    serve every point and stay a pure function of (seed, trial index).
+    Lane-major, shape (3, n): lane 0 feeds the near-user gain, lane 1 the
+    far-user gain, lane 2 the relay gain. The uniforms are written into
+    `out` (a new array if None), turned into -log1p(-u) in place and
+    returned, so a chunk's draws land in its workspace with no copy. A
+    point's gain is its variance times the draw, which equals the inverse
+    CDF -lambda * log1p(-u) bit for bit, so the draws of a trial serve
+    every point and stay a pure function of (seed, trial index).
     """
-    u = _philox.uniform_lanes(seed, start, stop)
-    return -np.log1p(-u[:, 0]), -np.log1p(-u[:, 1]), -np.log1p(-u[:, 2])
+    out = _philox.uniform_lanes(seed, start, stop, out=out)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    return np.negative(out, out=out)

@@ -2,7 +2,8 @@
 
 Trials are cut into fixed-size chunks. Each chunk is drawn once, into a
 workspace its thread reuses for every chunk, and reduced to counts and
-two-pass moments at every point of the call; each point folds its chunks
+two-pass moments at every point of the call, with one kernel pass for
+adjacent points that differ only in protocol; each point folds its chunks
 into its running total in index order with the exact count-weighted
 update. A point's result is therefore a pure function of (params,
 variances, protocol, config) no matter how many workers ran the chunks or
@@ -72,8 +73,26 @@ class ValidationReport:
         return any(row.status == "FAIL" for row in self.rows)
 
 
-def _run_chunk(points, thrs, cfg, local, lo, hi):
-    """Moments of every point on trials [lo, hi), drawn once into this thread's workspace."""
+def _point_groups(points):
+    """Runs of adjacent points with equal (params, varz) and distinct protocols.
+
+    Each run is (params, varz, thresholds, protocols), and the kernel
+    evaluates it in one pass.
+    """
+    groups = []
+    for params, varz, protocol in points:
+        if groups and groups[-1][:2] == (params, varz) and protocol not in groups[-1][3]:
+            groups[-1][3].append(protocol)
+        else:
+            groups.append((params, varz, thresholds(params), [protocol]))
+    return groups
+
+
+def _run_chunk(groups, cfg, local, lo, hi):
+    """Moments of every point on trials [lo, hi), drawn once into this thread's workspace.
+
+    One entry per point, in order: (n, means, m2, co-moment, counts).
+    """
     ws = getattr(local, "ws", None)
     if ws is None:
         ws = local.ws = _kernels.Workspace(min(CHUNK_TRIALS, cfg.trials))
@@ -83,25 +102,24 @@ def _run_chunk(points, thrs, cfg, local, lo, hi):
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(lo, hi, _kernels.SUB_TRIALS):
             stop = min(start + _kernels.SUB_TRIALS, hi)
-            lanes = ws.draws[:, start - lo : stop - lo]
-            for lane, draw in zip(lanes, model.sample_gains(cfg.seed, start, stop)):
-                lane[...] = draw
-        return [
-            _kernels.accumulate_chunk(params, thr, protocol, varz, ws, n)
-            for (params, varz, protocol), thr in zip(points, thrs)
-        ]
+            model.sample_gains(cfg.seed, start, stop, out=ws.draws[:, start - lo : stop - lo])
+        parts = []
+        for params, varz, thr, protocols in groups:
+            _, stats = _kernels.accumulate_chunk(params, thr, protocols, varz, ws, n)
+            parts.extend((n, *point) for point in stats)
+        return parts
 
 
 def _chunk_parts(points, cfg, workers):
     """Each chunk's per-point moments in index order, with at most 2 * threads chunks in flight."""
-    thrs = [thresholds(params) for params, _, _ in points]
+    groups = _point_groups(points)
     starts = range(0, cfg.trials, CHUNK_TRIALS)
     threads = min(workers, os.cpu_count() or 1, len(starts))
     # one workspace per thread, freed with this call
     local = threading.local()
 
     def run(lo):
-        return _run_chunk(points, thrs, cfg, local, lo, min(lo + CHUNK_TRIALS, cfg.trials))
+        return _run_chunk(groups, cfg, local, lo, min(lo + CHUNK_TRIALS, cfg.trials))
 
     if threads <= 1:
         yield from map(run, starts)
@@ -197,6 +215,8 @@ def estimate_metrics(
     A point is (params, varz, protocol). Each chunk of trials is drawn once
     and evaluated at every point, so all points share their draws, and each
     point's estimate is the one a call with that point alone gives.
+    Adjacent points with equal (params, varz) share one kernel pass, which
+    runs the near-user physics once for all their protocols.
 
     Returns an iterator with one dict per point, in order: Estimates keyed
     by the metric ids of analytic.closed_forms plus mean_p_relay; ee is the

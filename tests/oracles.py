@@ -5,6 +5,8 @@ definitions, brute-force quadrature) rather than by calling back into the
 package, so that agreement between the two is meaningful evidence.
 """
 
+import math
+
 import mpmath
 import numpy as np
 from scipy import integrate
@@ -78,3 +80,19 @@ def ks_statistic_exponential(samples, lam):
     d_plus = np.max(i / n - cdf)
     d_minus = np.max(cdf - (i - 1) / n)
     return max(d_plus, d_minus)
+
+
+def outage_x2_near_user(rho, p_n, p_f, psi2, psi3, lambda_ccu):
+    """Exact probability that the near user fails to recover x2.
+
+    SIC decodes x3 first: p_f rho g / (p_n rho g + 1) >= psi3 holds exactly
+    when g >= t3 = psi3 / (rho (p_f - p_n psi3)), and never when
+    p_f <= p_n psi3. Then x2 needs p_n rho g >= psi2, i.e. g >= t2 =
+    psi2 / (rho p_n). With g ~ Exp(mean lambda_ccu) the outage is
+    1 - exp(-max(t3, t2) / lambda_ccu).
+    """
+    if p_f <= p_n * psi3:
+        return 1.0
+    t3 = psi3 / (rho * (p_f - p_n * psi3))
+    t2 = psi2 / (rho * p_n)
+    return 1.0 - math.exp(-max(t3, t2) / lambda_ccu)

@@ -243,9 +243,9 @@ class TestRunSweep:
         # of a sweep shares one draw of each chunk
         drawn = []
 
-        def counting(seed, start, stop):
+        def counting(seed, start, stop, out=None):
             drawn.append(stop - start)
-            return uniform_lanes(seed, start, stop)
+            return uniform_lanes(seed, start, stop, out=out)
 
         monkeypatch.setattr(_philox, "uniform_lanes", counting)
         spec, params, _ = self.small_inputs(variable=variable, start=start, stop=stop, step=step)
@@ -527,11 +527,12 @@ class TestMain:
         out, err = capsys.readouterr()
         assert err == ""
         metrics = spans.layer_metrics(tracer.spans, tracer.absent)
-        # snr_db 0 and 5, each for both protocols; two chunks, drawn once
-        pairs, chunks = 2 * 2, 2
+        # snr_db 0 and 5, each for both protocols in one kernel pass; two
+        # chunks, drawn once
+        points, chunks = 2, 2
         assert metrics["philox.blocks"] == trials
-        assert metrics["kernel.calls"] == chunks * pairs
-        assert metrics["kernel.trials"] == trials * pairs
+        assert metrics["kernel.calls"] == chunks * points
+        assert metrics["kernel.trials"] == trials * points
         # a header, then 8 ehs-mrc and 6 hs-sc rows per point
         assert len(out.splitlines()) - 1 == 2 * (8 + 6)
 
@@ -582,8 +583,23 @@ class TestMain:
                 ["--sweep", "d1", "--trials", "5000"],
                 "afb7127eb9017501bbdd6c0bd511ff8b399d8ed3f4fdde3ba4253e005c01d400",
             ),
+            # one protocol per kernel pass
+            (
+                ["--protocol", "hs-sc", "--trials", "40000"],
+                "634fcc99843fc2e8e822dc813983ae09e3668f7aa2175e9a76772ab95caf73fb",
+            ),
+            (
+                ["--protocol", "ehs-mrc", "--trials", "40000"],
+                "7fba3f8cbe7bd5fd8624ad48a8724b39cb44bef9636e84756ca1c7d7f532420d",
+            ),
+            # the benchmark's grid-dense argv: 491 points, each one kernel pass
+            (
+                ["--sweep", "d1", "--start", "0.01", "--stop", "0.99", "--step", "0.002",
+                 "--trials", "1000"],
+                "77dcc695b4e33f3fb9cdd239035d6bc4ec6f9093e28398ed004f1ece85aa8260",
+            ),
         ],
-        ids=["snr", "alpha", "d1"],
+        ids=["snr", "alpha", "d1", "hs-sc", "ehs-mrc", "grid-dense"],
     )
     def test_csv_bytes_pinned(self, argv, digest, capsys):
         assert main(argv) == 0

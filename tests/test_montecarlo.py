@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import outage_x2_near_user
 
 from ehs_cnoma import _kernels, analytic, model, montecarlo, protocols
 from ehs_cnoma.montecarlo import CHUNK_TRIALS, EstimatorConfig, estimate_metrics
@@ -27,7 +28,8 @@ def estimate(params, varz, cfg, protocol, workers=1):
 
 def chunk(params, varz, cfg, lo, hi, protocol=Protocol.EHS_MRC):
     points = [(params, varz, protocol)]
-    [part] = montecarlo._run_chunk(points, [thresholds(params)], cfg, threading.local(), lo, hi)
+    groups = montecarlo._point_groups(points)
+    [part] = montecarlo._run_chunk(groups, cfg, threading.local(), lo, hi)
     return part
 
 
@@ -52,12 +54,12 @@ class TestKernels:
             columns = np.broadcast_arrays(c_x1, c_x2, c_x3, esc, p_relay)
 
             ws = _kernels.Workspace(CHUNK_TRIALS)
-            for arr in (ws.draws, ws.columns, ws.scratch):
+            for arr in (ws.draws, ws.shared, ws.far, ws.scratch):
                 arr.fill(np.nan)
             for lane, draw in zip(ws.draws, draws):
                 lane[:n] = draw
-            got_n, means, m2, com, counts = _kernels.accumulate_chunk(
-                params, thr, protocol, varz, ws, n
+            got_n, [(means, m2, com, counts)] = _kernels.accumulate_chunk(
+                params, thr, [protocol], varz, ws, n
             )
             assert got_n == n
             assert means.tolist() == [arr.mean() for arr in columns]
@@ -68,6 +70,39 @@ class TestKernels:
             assert counts.tolist() == [
                 np.count_nonzero(np.broadcast_to(flag, (n,))) for flag in (out_x1, out_x2, out_x3)
             ]
+
+    @pytest.mark.parametrize("order", [list(Protocol), list(reversed(Protocol))])
+    @pytest.mark.parametrize("n", [_kernels.SUB_TRIALS // 2 + 3, 3 * _kernels.SUB_TRIALS + 5])
+    @pytest.mark.parametrize("snr_db", [0.0, 15.0, 30.0])
+    def test_one_pass_equals_one_call_per_protocol(self, snr_db, n, order):
+        # one call for both protocols gives each the statistics of a call
+        # with it alone, bit for bit, on a chunk shorter than a sub-block and
+        # on one of several sub-blocks, in a workspace whose tail holds NaN
+        params, varz = setup_point(rho=10.0 ** (snr_db / 10.0))
+        thr = thresholds(params)
+        ws = _kernels.Workspace(CHUNK_TRIALS)
+        for arr in (ws.draws, ws.shared, ws.far, ws.scratch):
+            arr.fill(np.nan)
+        model.sample_gains(42, 0, n, out=ws.draws[:, :n])
+        got_n, both = _kernels.accumulate_chunk(params, thr, order, varz, ws, n)
+        assert got_n == n
+        assert len(both) == len(order)
+        by_protocol = {}
+        for protocol, (means, m2, com, counts) in zip(order, both):
+            alone_n, [alone] = _kernels.accumulate_chunk(params, thr, [protocol], varz, ws, n)
+            assert alone_n == n
+            assert means.tobytes() == alone[0].tobytes()
+            assert m2.tobytes() == alone[1].tobytes()
+            assert np.float64(com).tobytes() == np.float64(alone[2]).tobytes()
+            assert counts.tolist() == alone[3].tolist()
+            assert np.isfinite(means).all() and np.isfinite(m2).all() and math.isfinite(com)
+            by_protocol[protocol] = means, counts
+        # MRC's combined x3 SINR is never below SC's
+        (ehs_means, ehs_counts), (hs_means, hs_counts) = (
+            by_protocol[Protocol.EHS_MRC], by_protocol[Protocol.HS_SC]
+        )
+        assert ehs_counts[2] <= hs_counts[2]
+        assert ehs_means[2] >= hs_means[2]
 
     def test_merge_equals_single_pass(self):
         params, varz = setup_point()
@@ -171,6 +206,21 @@ class TestEstimates:
         ana = analytic.op_ceu_x1(params, varz, thr)
         assert abs(est["op_x1"].mean - ana) <= 3.0 * est["op_x1"].std_error
 
+    @pytest.mark.parametrize("snr_db, d1", [(15.0, 0.5), (30.0, 0.5), (15.0, 0.9)])
+    def test_near_user_outage_matches_exact_form(self, snr_db, d1):
+        # op_x2_ccu against its exact one-line form, for both protocols; not
+        # at 0 dB, where every trial is in outage and the standard error is 0
+        params, varz = setup_point(rho=10.0 ** (snr_db / 10.0), d1=d1)
+        psi2, psi3 = (2.0 ** (2.0 * r / (1.0 - params.alpha)) - 1.0 for r in (params.r2, params.r3))
+        exact = outage_x2_near_user(
+            params.rho, params.p_n, params.p_f, psi2, psi3, d1 ** -params.v
+        )
+        points = [(params, varz, protocol) for protocol in Protocol]
+        for est in estimate_metrics(points, make_cfg(trials=1_000_000, seed=7)):
+            p, se = est["op_x2_ccu"].mean, est["op_x2_ccu"].std_error
+            assert se > 0.0
+            assert abs(p - exact) <= 3.0 * se
+
     def test_protocol_orderings(self):
         params, varz = setup_point()
         ehs = estimate(params, varz, make_cfg(), Protocol.EHS_MRC)
@@ -189,11 +239,12 @@ class TestEstimates:
             make_cfg(trials=0)
 
 
-def fake_chunk(points, thrs, cfg, local, lo, hi):
+def fake_chunk(groups, cfg, local, lo, hi):
     # moments that depend on the chunk index, so a fold out of order shows
     return [
         (hi - lo, np.full(5, 1.0 + lo), np.zeros(5), 0.0, np.zeros(3, dtype=np.int64))
-        for _ in points
+        for *_, protocols in groups
+        for _ in protocols
     ]
 
 
