@@ -143,33 +143,41 @@ def energy_efficiency(params: SystemParams, varz: ChannelVariances, esc: float) 
 
 
 def closed_forms(
-    params: SystemParams, varz: ChannelVariances, protocol: Protocol
+    params: SystemParams,
+    varz: ChannelVariances,
+    protocol: Protocol,
+    near: dict[str, AnalyticReport] | None = None,
 ) -> dict[str, AnalyticReport]:
     """Closed form of each metric id that has one, with its exactness tag.
 
     The baseline transmits no x1 and has no closed form for the
     selection-combined x3, so only the shared near-user metrics apply.
-    The sum and the energy efficiency inherit the x3 approximation.
+    The sum and the energy efficiency inherit the x3 approximation. near,
+    if given, is the table of another protocol at the same (params, varz):
+    its near-user entries (c_x2, op_x2_ccu) are reused, not evaluated again.
     """
     thr = thresholds(params)
     exact, approx = Exactness.EXACT, Exactness.APPROXIMATE
-    c_x2 = ergodic_c_x2(params, varz)
+    if near is None:
+        c_x2, op_x2 = AnalyticReport(ergodic_c_x2(params, varz), exact), None
+    else:
+        c_x2, op_x2 = near["c_x2"], near["op_x2_ccu"]
     if protocol is Protocol.HS_SC:
         return {
-            "c_x2": AnalyticReport(c_x2, exact),
-            "op_x2_ccu": AnalyticReport(op_ccu(params, varz, thr), approx),
+            "c_x2": c_x2,
+            "op_x2_ccu": op_x2 or AnalyticReport(op_ccu(params, varz, thr), approx),
         }
     c_x3 = ergodic_c_x3(params, varz)
     c_x1 = ergodic_c_x1(params, varz)
     # this addition order fixes the CSV bytes of the sum
-    esc = (c_x2 + c_x3) + c_x1
+    esc = (c_x2.value + c_x3) + c_x1
     return {
         "c_x1": AnalyticReport(c_x1, exact),
-        "c_x2": AnalyticReport(c_x2, exact),
+        "c_x2": c_x2,
         "c_x3": AnalyticReport(c_x3, approx),
         "esc_total": AnalyticReport(esc, approx),
         "op_x1": AnalyticReport(op_ceu_x1(params, varz, thr), exact),
-        "op_x2_ccu": AnalyticReport(op_ccu(params, varz, thr), approx),
+        "op_x2_ccu": op_x2 or AnalyticReport(op_ccu(params, varz, thr), approx),
         "op_x3_ceu": AnalyticReport(op_ceu_x3(params, varz, thr), approx),
         "ee": AnalyticReport(energy_efficiency(params, varz, esc), approx),
     }

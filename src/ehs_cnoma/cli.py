@@ -7,11 +7,11 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import analytic, model, montecarlo
-from .analytic import AnalyticReport
 from .model import SystemParams
-from .montecarlo import Estimate, EstimatorConfig
+from .montecarlo import EstimatorConfig
 from .protocols import Protocol, thresholds
 
 CSV_HEADER = "variable,value,protocol,metric,symbol,analytic,simulated,std_error,trials,seed"
@@ -90,8 +90,7 @@ class SweepSpec:
         return [self.start + k * self.step for k in range(count)]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     variable: str
     value: float
     protocol: str
@@ -152,35 +151,14 @@ def _point_params(spec: SweepSpec, params: SystemParams, value: float) -> System
     return replace(params, **{spec.variable: value})
 
 
-def _point_rows(
-    spec: SweepSpec,
-    value: float,
-    cfg: EstimatorConfig,
-    protocol: Protocol,
-    estimates: dict[str, Estimate],
-    forms: dict[str, AnalyticReport],
-) -> list[SweepRow]:
-    rows = []
-    for metric_id, (metric, symbol) in _ROW_LAYOUT.items():
+def _row_layout(spec: SweepSpec, protocol: Protocol) -> list[tuple[str, str, str]]:
+    """(metric id, metric, symbol) of each row a grid point gives the protocol, in row order."""
+    return [
+        (metric_id, metric, symbol)
+        for metric_id, (metric, symbol) in _ROW_LAYOUT.items()
         # x1 is never transmitted by the baseline, so its rows are dropped
-        if metric not in spec.metrics or (protocol is Protocol.HS_SC and symbol == "x1"):
-            continue
-        est = estimates[metric_id]
-        rows.append(
-            SweepRow(
-                variable=spec.variable,
-                value=value,
-                protocol=protocol.value,
-                metric=metric,
-                symbol=symbol,
-                analytic=forms[metric_id].value if metric_id in forms else None,
-                simulated=est.mean,
-                std_error=est.std_error,
-                trials=cfg.trials,
-                seed=cfg.seed,
-            )
-        )
-    return rows
+        if metric in spec.metrics and not (protocol is Protocol.HS_SC and symbol == "x1")
+    ]
 
 
 def run_sweep(
@@ -200,22 +178,39 @@ def run_sweep(
         p_end = _point_params(spec, params, value)
         model.variances_from_distances(p_end)
         thresholds(p_end)
-    values, points = [], []
+    grid_points = []
     for value in grid:
         p_point = _point_params(spec, params, value)
-        varz = model.variances_from_distances(p_point)
-        for protocol in spec.protocols:
-            values.append(value)
-            points.append((p_point, varz, protocol))
+        grid_points.append((value, p_point, model.variances_from_distances(p_point)))
     # one call draws each chunk once for every (point, protocol), and the
-    # protocols of a point sit side by side, so they share one kernel pass;
-    # taking its estimates in row order checks each one right before its
-    # closed forms
+    # protocols of a point sit side by side, so they share one kernel pass
+    points = [(p, varz, protocol) for _, p, varz in grid_points for protocol in spec.protocols]
     estimates = montecarlo.estimate_metrics(points, cfg, workers=workers)
+    layouts = [(p, p.value, _row_layout(spec, p)) for p in spec.protocols]
     rows: list[SweepRow] = []
-    for value, (p_point, varz, protocol), est in zip(values, points, estimates):
-        forms = analytic.closed_forms(p_point, varz, protocol)
-        rows.extend(_point_rows(spec, value, cfg, protocol, est, forms))
+    for value, p_point, varz in grid_points:
+        # the protocols of a point share its near-user closed forms
+        forms = None
+        for protocol, name, layout in layouts:
+            # taking the estimates in row order checks each one right before
+            # its closed forms
+            est = next(estimates)
+            forms = analytic.closed_forms(p_point, varz, protocol, forms)
+            for metric_id, metric, symbol in layout:
+                form = forms.get(metric_id)
+                rows.append(
+                    SweepRow(
+                        spec.variable,
+                        value,
+                        name,
+                        metric,
+                        symbol,
+                        None if form is None else form.value,
+                        *est[metric_id],
+                        cfg.trials,
+                        cfg.seed,
+                    )
+                )
     return rows
 
 
@@ -232,23 +227,11 @@ def write_csv(rows: list[SweepRow], destination) -> None:
     if not rows:
         raise ValueError("no rows to write")
     lines = [CSV_HEADER]
-    for row in rows:
-        analytic_cell = "" if row.analytic is None else _fmt(row.analytic)
+    for variable, value, protocol, metric, symbol, ana, sim, se, trials, seed in rows:
+        ana = "" if ana is None else _fmt(ana)
         lines.append(
-            ",".join(
-                (
-                    row.variable,
-                    _fmt(row.value),
-                    row.protocol,
-                    row.metric,
-                    row.symbol,
-                    analytic_cell,
-                    _fmt(row.simulated),
-                    _fmt(row.std_error),
-                    str(row.trials),
-                    str(row.seed),
-                )
-            )
+            f"{variable},{value:.9g},{protocol},{metric},{symbol},{ana},{sim:.9g},{se:.9g},"
+            f"{trials},{seed}"
         )
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):

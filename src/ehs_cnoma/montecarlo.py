@@ -16,11 +16,13 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 import threading
 from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +35,8 @@ CHUNK_TRIALS = 32768
 
 _CONT_INDEX = {"c_x1": 0, "c_x2": 1, "c_x3": 2, "esc_total": 3, "mean_p_relay": 4}
 _FLAG_INDEX = {"op_x1": 0, "op_x2_ccu": 1, "op_x3_ceu": 2}
+# the smallest normal double: a square of the mean relay power below it has lost precision
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,7 @@ class EstimatorConfig:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     mean: float
     std_error: float
 
@@ -147,27 +150,10 @@ def _merge(a, b):
     return n, mean, m2, com, cnt_a + cnt_b
 
 
-def _continuous_estimate(n, means, m2, idx) -> Estimate:
-    if n > 1:
-        se = math.sqrt(m2[idx] / (n - 1) / n)
-    else:
-        se = 0.0
-    return Estimate(float(means[idx]), se)
-
-
-def _flag_estimate(n, counts, idx) -> Estimate:
-    p = counts[idx] / n
-    if n > 1:
-        se = math.sqrt(p * (1.0 - p) * n / (n - 1) / n)
-    else:
-        se = 0.0
-    return Estimate(float(p), se)
-
-
 def _ratio_estimate(n, means, m2, com) -> Estimate:
-    # nan or inf where the ratio is undefined, which estimate_metrics reports
-    mean_esc = float(means[3])
-    mean_p = float(means[4])
+    # nan or inf where the ratio is undefined, which _finish reports; float
+    # arithmetic overflows to inf and underflows to 0 as numpy's does
+    mean_esc, mean_p = means[3], means[4]
     if mean_p == 0.0:
         return Estimate(math.nan, math.nan)
     ratio = mean_esc / mean_p
@@ -177,8 +163,14 @@ def _ratio_estimate(n, means, m2, com) -> Estimate:
     var_p = m2[4] / (n - 1)
     cov = com / (n - 1)
     # first-order variance of a ratio of sample means
-    with np.errstate(over="ignore", invalid="ignore"):
-        var_ratio = (var_esc - 2.0 * ratio * cov + ratio * ratio * var_p) / (mean_p * mean_p)
+    var_num = var_esc - 2.0 * ratio * cov + ratio * ratio * var_p
+    mean_p_sq = mean_p * mean_p
+    if mean_p_sq >= _TINY:
+        var_ratio = var_num / mean_p_sq
+    else:
+        # mean_p squared is 0 or subnormal at extreme low SNR, where dividing
+        # by mean_p twice keeps the quotient defined
+        var_ratio = var_num / mean_p / mean_p
     return Estimate(ratio, math.sqrt(max(var_ratio, 0.0) / n))
 
 
@@ -190,17 +182,23 @@ def _merge_parts(a, b):
 def _finish(point, total) -> dict[str, Estimate]:
     params, varz, _ = point
     n, means, m2, com, counts = total
-    if not (np.isfinite(means).all() and np.isfinite(m2).all() and math.isfinite(com)):
+    # one conversion to Python numbers; the float math below rounds as numpy's does
+    means, m2, counts, com = means.tolist(), m2.tolist(), counts.tolist(), float(com)
+    if not (all(map(math.isfinite, means)) and all(map(math.isfinite, m2)) and math.isfinite(com)):
         raise ValueError(f"simulated moments overflow at {analytic._describe_point(params, varz)}")
     ee = _ratio_estimate(n, means, m2, com)
     if not (math.isfinite(ee.mean) and math.isfinite(ee.std_error)):
-        raise analytic._undefined_ee(params, varz, float(means[4]))
+        raise analytic._undefined_ee(params, varz, means[4])
 
+    # one trial leaves no spread to estimate, so its standard errors are 0
     out: dict[str, Estimate] = {}
     for metric, idx in _CONT_INDEX.items():
-        out[metric] = _continuous_estimate(n, means, m2, idx)
+        se = math.sqrt(m2[idx] / (n - 1) / n) if n > 1 else 0.0
+        out[metric] = Estimate(means[idx], se)
     for metric, idx in _FLAG_INDEX.items():
-        out[metric] = _flag_estimate(n, counts, idx)
+        p = counts[idx] / n
+        se = math.sqrt(p * (1.0 - p) * n / (n - 1) / n) if n > 1 else 0.0
+        out[metric] = Estimate(p, se)
     out["ee"] = ee
     return out
 

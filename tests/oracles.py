@@ -96,3 +96,44 @@ def outage_x2_near_user(rho, p_n, p_f, psi2, psi3, lambda_ccu):
     t3 = psi3 / (rho * (p_f - p_n * psi3))
     t2 = psi2 / (rho * p_n)
     return 1.0 - math.exp(-max(t3, t2) / lambda_ccu)
+
+
+def finish_reference(n, means, m2, com, counts):
+    """One point's estimates from its chunk totals, in numpy-scalar arithmetic.
+
+    The finishing formulas as first written: each moment is read as a numpy
+    scalar, a continuous metric's standard error is sqrt(m2 / (n-1) / n), an
+    outage's is that of a proportion, and the energy efficiency is the ratio
+    of the esc_total and p_relay means with the first-order variance
+    (var_esc - 2 r cov + r^2 var_p) / mean_p^2, under numpy's errstate.
+    Returns {metric: (mean, std_error)}. Raises ValueError("moments") when a
+    moment is not finite and ValueError("ee") when the ratio or its standard
+    error is not.
+    """
+    cont = {"c_x1": 0, "c_x2": 1, "c_x3": 2, "esc_total": 3, "mean_p_relay": 4}
+    flags = {"op_x1": 0, "op_x2_ccu": 1, "op_x3_ceu": 2}
+    if not (np.isfinite(means).all() and np.isfinite(m2).all() and math.isfinite(com)):
+        raise ValueError("moments")
+    mean_esc, mean_p = float(means[3]), float(means[4])
+    if mean_p == 0.0:
+        raise ValueError("ee")
+    ratio = mean_esc / mean_p
+    if n <= 1:
+        ee = (ratio, 0.0)
+    else:
+        var_esc, var_p, cov = m2[3] / (n - 1), m2[4] / (n - 1), com / (n - 1)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            var_ratio = (var_esc - 2.0 * ratio * cov + ratio * ratio * var_p) / (mean_p * mean_p)
+        ee = (ratio, math.sqrt(max(var_ratio, 0.0) / n))
+    if not (math.isfinite(ee[0]) and math.isfinite(ee[1])):
+        raise ValueError("ee")
+    out = {}
+    for metric, idx in cont.items():
+        se = math.sqrt(m2[idx] / (n - 1) / n) if n > 1 else 0.0
+        out[metric] = (float(means[idx]), se)
+    for metric, idx in flags.items():
+        p = counts[idx] / n
+        se = math.sqrt(p * (1.0 - p) * n / (n - 1) / n) if n > 1 else 0.0
+        out[metric] = (float(p), se)
+    out["ee"] = ee
+    return out

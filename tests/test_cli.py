@@ -472,6 +472,35 @@ class TestMain:
         assert fragment in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("snr_db", ["-3000", "-3200"])
+    def test_simulated_ee_where_relay_power_squared_underflows(self, snr_db, capsys):
+        # the square of the mean relay power underflows to 0 here, yet the
+        # ratio is defined: 1 + snr rounds to 1, so the simulated EE is 0
+        argv = ["--start", snr_db, "--stop", snr_db, "--metrics", "ee", "--trials", "1000"]
+        assert main(argv + ["--protocol", "hs-sc"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1:] == [f"snr_db,{snr_db},hs-sc,ee,-,,0,0,1000,42"]
+
+    def test_enhanced_ee_rows_at_extreme_low_snr(self, capsys):
+        # the closed-form EE of the enhanced protocol is about 2e299 at
+        # -3000 dB and overflows at -3200 dB, where its error names the
+        # closed form's mean relay power
+        argv = ["--metrics", "ee", "--trials", "1000", "--protocol", "ehs-mrc"]
+        assert main(argv + ["--start", "-3000", "--stop", "-3000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1:] == [
+            "snr_db,-3000,ehs-mrc,ee,-,2.08972554e+299,0,0,1000,42"
+        ]
+        assert main(argv + ["--start", "-3200", "--stop", "-3200"]) == 2
+        params = model.SystemParams(rho=db_to_linear(-3200.0))
+        mean_p = analytic.mean_relay_power(params, model.variances_from_distances(params))
+        assert capsys.readouterr().err == (
+            "error: energy efficiency undefined at snr_db=-3200 (rho=9.99989e-321) with gain "
+            f"variances (4, 1, 4): mean relay power is {mean_p:.6g}\n"
+        )
+
     def test_module_entry_point_and_light_package_import(self):
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         run = subprocess.run(
@@ -598,8 +627,36 @@ class TestMain:
                  "--trials", "1000"],
                 "77dcc695b4e33f3fb9cdd239035d6bc4ec6f9093e28398ed004f1ece85aa8260",
             ),
+            # n = 1, so every standard error is 0
+            (["--trials", "1"], "811999b1787f739b41e40673d6419df02f224e7b4f7d0b62b0fac662a9789892"),
+            # a full sub-block, then a sub-block of one trial
+            (
+                ["--metrics", "ee", "--trials", "8193"],
+                "96a0e1af7ba7aabaa16f171ad1158eed33af6b2251cf96e7a4d665cd1961600a",
+            ),
+            # the closed forms of a point with one protocol
+            (
+                ["--protocol", "hs-sc", "--sweep", "d1", "--trials", "2000"],
+                "b27a1718f4071dc49d0b83085e5a9c9f49dcf3aaf7afe2b9242523dd5ec30730",
+            ),
+            # thresholds that change from point to point, and filtered rows
+            (
+                ["--sweep", "alpha", "--protocol", "ehs-mrc", "--metrics", "op", "--trials", "1000"],
+                "a49fede8da8d1ff01089dd13eda66ff466c1f9e3dee9b6c97f8b953c682c0f22",
+            ),
         ],
-        ids=["snr", "alpha", "d1", "hs-sc", "ehs-mrc", "grid-dense"],
+        ids=[
+            "snr",
+            "alpha",
+            "d1",
+            "hs-sc",
+            "ehs-mrc",
+            "grid-dense",
+            "one-trial",
+            "ee-8193",
+            "hs-sc-d1",
+            "alpha-op",
+        ],
     )
     def test_csv_bytes_pinned(self, argv, digest, capsys):
         assert main(argv) == 0

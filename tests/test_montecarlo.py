@@ -2,10 +2,11 @@ import math
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import outage_x2_near_user
+from oracles import finish_reference, outage_x2_near_user
 
 from ehs_cnoma import _kernels, analytic, model, montecarlo, protocols
 from ehs_cnoma.montecarlo import CHUNK_TRIALS, EstimatorConfig, estimate_metrics
@@ -47,8 +48,9 @@ class TestKernels:
             lambdas = (varz.lambda_ccu, varz.lambda_ceu, varz.lambda_relay)
             g_ccu, g_ceu, g_relay = [lam * draw for lam, draw in zip(lambdas, draws)]
             c_x2, out_x2, decoded_x3, p_relay = protocols.near_user(params, thr, g_ccu)
+            links = protocols.far_links(params, g_ceu, g_relay, p_relay)
             c_x1, c_x3, out_x1, out_x3 = protocols.far_user(
-                params, thr, protocol, g_ceu, g_relay, p_relay, decoded_x3
+                params, thr, protocol, links, decoded_x3
             )
             esc = (c_x1 + c_x2) + c_x3
             columns = np.broadcast_arrays(c_x1, c_x2, c_x3, esc, p_relay)
@@ -237,6 +239,109 @@ class TestEstimates:
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
             make_cfg(trials=0)
+
+
+def hand_total(n, means, m2, com, counts):
+    return (
+        n,
+        np.array(means, dtype=np.float64),
+        np.array(m2, dtype=np.float64),
+        com,
+        np.array(counts, dtype=np.int64),
+    )
+
+
+def finish_cases():
+    rng = np.random.default_rng(5)
+    means = rng.uniform(0.1, 5.0, 5)
+    m2 = rng.uniform(0.0, 50.0, 5)
+    cases = {
+        "n=1": hand_total(1, means, np.zeros(5), 0.0, [1, 0, 1]),
+        "n=2": hand_total(2, means, m2, -1.25, [2, 1, 0]),
+        "n=1000": hand_total(1000, means, m2 * 100.0, 3.7, [1000, 263, 999]),
+        "zero variance": hand_total(1000, means, np.zeros(5), 0.0, [17, 17, 17]),
+        "no outage": hand_total(1000, means, m2, 0.5, [0, 0, 0]),
+        "certain outage": hand_total(1000, means, m2, 0.5, [1000, 1000, 1000]),
+        "zero esc": hand_total(
+            1000, [0.0, 0.0, 0.0, 0.0, means[4]], [0.0, 0.0, 0.0, 0.0, m2[4]], 0.0, [1000, 5, 1000]
+        ),
+    }
+    # totals of real chunks: one chunk's Python-float co-moment, and a merge's numpy one
+    params, varz = setup_point()
+    cfg = make_cfg(trials=3000)
+    for protocol in Protocol:
+        first = chunk(params, varz, cfg, 0, 1000, protocol)
+        cases[f"chunk {protocol.value}"] = first
+        cases[f"merged {protocol.value}"] = montecarlo._merge(
+            first, chunk(params, varz, cfg, 1000, 3000, protocol)
+        )
+    return cases
+
+
+FINISH_CASES = finish_cases()
+
+
+class TestFinish:
+    POINT = (*setup_point(), Protocol.EHS_MRC)
+
+    @pytest.mark.parametrize("total", FINISH_CASES.values(), ids=FINISH_CASES.keys())
+    def test_bits_match_numpy_scalar_reference(self, total):
+        got = montecarlo._finish(self.POINT, total)
+        want = finish_reference(*total)
+        assert list(got) == list(want)
+        for metric, est in got.items():
+            assert type(est.mean) is float and type(est.std_error) is float, metric
+            assert (est.mean.hex(), est.std_error.hex()) == tuple(
+                float.hex(value) for value in want[metric]
+            ), metric
+
+    @pytest.mark.parametrize("where", ["means", "m2", "com"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_moment_raises(self, where, bad):
+        n, means, m2, com, counts = FINISH_CASES["n=1000"]
+        means, m2 = means.copy(), m2.copy()
+        if where == "com":
+            com = bad
+        else:
+            {"means": means, "m2": m2}[where][2] = bad
+        total = (n, means, m2, com, counts)
+        with pytest.raises(ValueError, match="moments"):
+            finish_reference(*total)
+        with pytest.raises(ValueError, match=r"^simulated moments overflow at snr_db=15 \(rho="):
+            montecarlo._finish(self.POINT, total)
+
+    @pytest.mark.parametrize("n", [1, 1000])
+    def test_zero_mean_relay_power_raises(self, n):
+        _, means, m2, com, counts = FINISH_CASES["n=1000"]
+        means = means.copy()
+        means[4] = 0.0
+        total = (n, means, m2, com, counts)
+        with pytest.raises(ValueError, match="ee"):
+            finish_reference(*total)
+        with pytest.raises(
+            ValueError, match=r"^energy efficiency undefined at snr_db=15 .*: mean relay power is 0$"
+        ):
+            montecarlo._finish(self.POINT, total)
+
+    def test_mean_relay_power_whose_square_underflows(self):
+        # about -3000 dB: esc is 0 and mean_p^2 underflows to 0, which made the
+        # reference divide 0 by 0; dividing by mean_p twice gives 0
+        total = hand_total(1000, [0.0, 0.0, 0.0, 0.0, 3e-300], np.zeros(5), 0.0, [0, 0, 0])
+        with pytest.raises(ValueError, match="ee"):
+            finish_reference(*total)
+        ee = montecarlo._finish(self.POINT, total)["ee"]
+        assert (ee.mean, ee.std_error) == (0.0, 0.0)
+
+    def test_mean_relay_power_whose_square_is_subnormal(self):
+        # mean_p^2 = 9e-320 keeps about 14 bits, so dividing by it lost the
+        # standard error's fifth digit; dividing by mean_p twice keeps them all
+        n, mean_p, m2_esc = 1000, 3e-160, 1e-17
+        means, m2 = [0.0, 0.0, 0.0, 2e-6, mean_p], [0.0, 0.0, 0.0, m2_esc, 0.0]
+        total = hand_total(n, means, m2, 0.0, [0, 0, 0])
+        exact = math.sqrt(Fraction(m2_esc) / (n - 1) / Fraction(mean_p) ** 2 / n)
+        ee = montecarlo._finish(self.POINT, total)["ee"]
+        assert ee.std_error == pytest.approx(exact, rel=1e-15)
+        assert finish_reference(*total)["ee"][1] != pytest.approx(exact, rel=1e-6)
 
 
 def fake_chunk(groups, cfg, local, lo, hi):

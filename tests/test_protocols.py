@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ehs_cnoma import analytic
@@ -8,6 +9,7 @@ from ehs_cnoma.protocols import (
     Protocol,
     Thresholds,
     decode_threshold,
+    far_links,
     far_user,
     near_user,
     relay_power,
@@ -27,9 +29,8 @@ def trial(params, gains, protocol=Protocol.EHS_MRC, thr=LOW):
     """(c_x1, c_x2, c_x3), (out_x1, out_x2, out_x3) and p_relay of one realization."""
     g_ccu, g_ceu, g_relay = gains
     c_x2, out_x2, decoded_x3, p_relay = near_user(params, thr, g_ccu)
-    c_x1, c_x3, out_x1, out_x3 = far_user(
-        params, thr, protocol, g_ceu, g_relay, p_relay, decoded_x3
-    )
+    links = far_links(params, g_ceu, g_relay, p_relay)
+    c_x1, c_x3, out_x1, out_x3 = far_user(params, thr, protocol, links, decoded_x3)
     return (c_x1, c_x2, c_x3), (out_x1, out_x2, out_x3), p_relay
 
 
@@ -194,3 +195,50 @@ class TestOutage:
         for gains in ((0.1, 0.1, 0.1), (10.0, 10.0, 10.0), (1e6, 1e6, 1e6)):
             _, (_, out_x2, out_x3), _ = trial(params, gains, thr=thr)
             assert out_x2 and out_x3
+
+
+class TestStepForms:
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_out_rows_arrays_and_floats_agree(self, protocol):
+        # each step on a block of trials, with and without out rows, and on
+        # each trial's float gains gives the same bits; trial 0 sits on every
+        # threshold (rho = 10 at gains (1, 1, 0.5), as in TestOutage)
+        params = make_params(rho=10.0)
+        thr = Thresholds(10.0, 1.0, 4.5)
+        gains = np.random.default_rng(3).exponential(1.0, (3, 64))
+        gains[:, 0] = TestOutage.GAINS
+        g_ccu, g_ceu, g_relay = gains
+
+        near = near_user(params, thr, g_ccu)
+        near_rows = np.full((2, 64), np.nan)
+        near_out = near_user(params, thr, g_ccu, out=near_rows)
+        links = far_links(params, g_ceu, g_relay, near[3])
+        far = far_user(params, thr, protocol, links, near[2])
+        far_rows = np.full((2, 64), np.nan)
+        far_out = far_user(params, thr, protocol, links, near[2], out=far_rows)
+
+        for plain, written in zip(near, near_out):
+            assert np.asarray(written).tobytes() == np.asarray(plain).tobytes()
+        for plain, written in zip(far, far_out):
+            assert np.asarray(written).tobytes() == np.asarray(plain).tobytes()
+        # the rows hold the capacities and the relay power
+        assert near_rows.tobytes() == np.stack([near[0], near[3]]).tobytes()
+        assert far_rows[1].tobytes() == far[1].tobytes()
+        if protocol is Protocol.EHS_MRC:
+            assert far_rows[0].tobytes() == far[0].tobytes()
+        else:
+            # the baseline's c_x1 is the float 0 and leaves its row alone
+            assert far[0] == 0.0 and far[2] is True
+            assert np.isnan(far_rows[0]).all()
+
+        for i in range(64):
+            one_near = near_user(params, thr, float(g_ccu[i]))
+            one_links = far_links(params, float(g_ceu[i]), float(g_relay[i]), one_near[3])
+            one_far = far_user(params, thr, protocol, one_links, one_near[2])
+            for value, column in [*zip(one_near, near), *zip(one_links, links), *zip(one_far, far)]:
+                expected = column[i] if np.ndim(column) else column
+                assert np.asarray(value).tobytes() == np.asarray(expected).tobytes(), i
+        # on the thresholds every symbol decodes
+        assert not near[1][0] and near[2][0] and not far[3][0]
+        if protocol is Protocol.EHS_MRC:
+            assert not far[2][0]
