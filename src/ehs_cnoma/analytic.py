@@ -156,6 +156,9 @@ def closed_forms(
     if given, is the table of another protocol at the same (params, varz):
     its near-user entries (c_x2, op_x2_ccu) are reused, not evaluated again.
     """
+    if protocol is Protocol.HS_SC and near is not None:
+        # the baseline reads only the near-user forms, so it derives no thresholds
+        return {"c_x2": near["c_x2"], "op_x2_ccu": near["op_x2_ccu"]}
     thr = thresholds(params)
     exact, approx = Exactness.EXACT, Exactness.APPROXIMATE
     if near is None:
@@ -163,10 +166,7 @@ def closed_forms(
     else:
         c_x2, op_x2 = near["c_x2"], near["op_x2_ccu"]
     if protocol is Protocol.HS_SC:
-        return {
-            "c_x2": c_x2,
-            "op_x2_ccu": op_x2 or AnalyticReport(op_ccu(params, varz, thr), approx),
-        }
+        return {"c_x2": c_x2, "op_x2_ccu": AnalyticReport(op_ccu(params, varz, thr), approx)}
     c_x3 = ergodic_c_x3(params, varz)
     c_x1 = ergodic_c_x1(params, varz)
     # this addition order fixes the CSV bytes of the sum

@@ -2,13 +2,15 @@
 
 Trials are cut into fixed-size chunks. Each chunk is drawn once, into a
 workspace its thread reuses for every chunk, and reduced to counts and
-two-pass moments at every point of the call, with one kernel pass for
-adjacent points that differ only in protocol; each point folds its chunks
-into its running total in index order with the exact count-weighted
-update. A point's result is therefore a pure function of (params,
-variances, protocol, config) no matter how many workers ran the chunks or
-which other points shared the call, and memory does not grow with the
-trial count.
+two-pass moments at every point of the call. The kernel takes the points
+a tile at a time: adjacent points that share a protocol list, up to one
+chunk's worth of (point, trial) cells, in one pass. Each point folds its
+chunks into its running total in index order with the exact
+count-weighted update. A point's result is therefore a pure function of
+(params, variances, protocol, config) no matter how many workers ran the
+chunks, which other points shared the call or where its tile cut the
+grid, and a thread's workspace grows with neither the trial count nor the
+point count.
 """
 
 from __future__ import annotations
@@ -91,38 +93,47 @@ def _point_groups(points):
     return groups
 
 
-def _run_chunk(groups, cfg, local, lo, hi):
+def _run_chunk(plans, cfg, local, lo, hi):
     """Moments of every point on trials [lo, hi), drawn once into this thread's workspace.
 
-    One entry per point, in order: (n, means, m2, co-moment, counts).
+    plans maps a chunk length to its tiles (see _chunk_parts). One entry
+    per point, in order: (n, means, m2, co-moment, counts).
     """
+    n = hi - lo
     ws = getattr(local, "ws", None)
     if ws is None:
-        ws = local.ws = _kernels.Workspace(min(CHUNK_TRIALS, cfg.trials))
-    n = hi - lo
+        # room for one chunk's draws and for the cells of the largest tile
+        cells = max((t.points * m for m, tiles in plans.items() for t in tiles), default=0)
+        ws = local.ws = _kernels.Workspace(min(CHUNK_TRIALS, cfg.trials), cells)
     # an overflow leaves a non-finite moment, which _finish reports as one
     # error rather than as a stream of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(lo, hi, _kernels.SUB_TRIALS):
-            stop = min(start + _kernels.SUB_TRIALS, hi)
-            model.sample_gains(cfg.seed, start, stop, out=ws.draws[:, start - lo : stop - lo])
+        model.sample_gains(cfg.seed, lo, hi, out=ws.draws[:, :n])
         parts = []
-        for params, varz, thr, protocols in groups:
-            _, stats = _kernels.accumulate_chunk(params, thr, protocols, varz, ws, n)
+        for tile in plans[n]:
+            _, stats = _kernels.accumulate_chunk(tile, ws, n)
             parts.extend((n, *point) for point in stats)
         return parts
 
 
 def _chunk_parts(points, cfg, workers):
-    """Each chunk's per-point moments in index order, with at most 2 * threads chunks in flight."""
+    """Each chunk's per-point moments in index order, with at most 2 * threads chunks in flight.
+
+    A chunk of n trials runs its groups as tiles of up to
+    max(1, CHUNK_TRIALS // n) groups, so a tile never holds more cells than
+    a full chunk. A call has at most two chunk lengths, and each gets its
+    tiles once.
+    """
     groups = _point_groups(points)
     starts = range(0, cfg.trials, CHUNK_TRIALS)
+    lengths = {min(CHUNK_TRIALS, cfg.trials - lo) for lo in (starts[0], starts[-1])}
+    plans = {n: _kernels.tiles(groups, max(1, CHUNK_TRIALS // n)) for n in lengths}
     threads = min(workers, os.cpu_count() or 1, len(starts))
     # one workspace per thread, freed with this call
     local = threading.local()
 
     def run(lo):
-        return _run_chunk(groups, cfg, local, lo, min(lo + CHUNK_TRIALS, cfg.trials))
+        return _run_chunk(plans, cfg, local, lo, min(lo + CHUNK_TRIALS, cfg.trials))
 
     if threads <= 1:
         yield from map(run, starts)
@@ -213,8 +224,10 @@ def estimate_metrics(
     A point is (params, varz, protocol). Each chunk of trials is drawn once
     and evaluated at every point, so all points share their draws, and each
     point's estimate is the one a call with that point alone gives.
-    Adjacent points with equal (params, varz) share one kernel pass, which
-    runs the near-user physics once for all their protocols.
+    Adjacent points with equal (params, varz) are one group, whose
+    near-user physics runs once for all its protocols, and a chunk of n
+    trials runs adjacent groups with one protocol list as tiles of up to
+    max(1, CHUNK_TRIALS // n) groups, one kernel pass each.
 
     Returns an iterator with one dict per point, in order: Estimates keyed
     by the metric ids of analytic.closed_forms plus mean_p_relay; ee is the

@@ -9,11 +9,12 @@ share, near_user. The far user's link terms are shared as well, far_links,
 and far_user holds the only protocol branch: how the two copies of x3 are
 combined, and whether x1 is sent.
 
-The physics takes gains as floats or as equal-length arrays: the
-simulation kernel evaluates a whole chunk of trials through the same
-functions that a caller runs on one trial's float gains. With arrays, the
-optional `out` rows receive the capacities and the relay power, so the
-kernel keeps them with no copy.
+The physics takes gains as floats or as arrays: the simulation kernel
+evaluates a tile of grid points over a chunk of trials through the same
+functions that a caller runs on one trial's float gains, with each
+per-point value that varies in the tile as a (points, 1) column that
+broadcasts over the trials. With arrays, the optional `out` rows receive
+the capacities and the relay power, so the kernel keeps them with no copy.
 """
 
 from __future__ import annotations

@@ -296,3 +296,21 @@ class TestClosedForms:
         analytic.closed_forms(params, varz, protocol)
         assert [name for name in calls if name != "neg_ei_exp"] == order
         assert calls.count("neg_ei_exp") == specfun_calls
+
+    def test_baseline_with_shared_near_forms_derives_no_thresholds(self, monkeypatch):
+        # the hs-sc table built from another table's near-user forms reads no
+        # threshold, so it derives none and evaluates no form
+        params, varz, _ = setup_point()
+        near = analytic.closed_forms(params, varz, Protocol.EHS_MRC)
+        derived = []
+
+        def counted(p):
+            derived.append(p)
+            return thresholds(p)
+
+        monkeypatch.setattr(analytic, "thresholds", counted)
+        for name in FORM_FUNCTIONS:
+            monkeypatch.setattr(analytic, name, None)
+        forms = analytic.closed_forms(params, varz, Protocol.HS_SC, near)
+        assert forms == {"c_x2": near["c_x2"], "op_x2_ccu": near["op_x2_ccu"]}
+        assert derived == []

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ehs_cnoma import _kernels, _philox, analytic, cli, model, montecarlo
+from ehs_cnoma import _philox, analytic, cli, model, montecarlo
 from ehs_cnoma._philox import uniform_lanes
 from ehs_cnoma.cli import (
     ConfigError,
@@ -209,9 +209,10 @@ class TestRunSweep:
 
     def test_rows_match_direct_estimates(self):
         # one multi-point call per sweep gives every (point, protocol) the
-        # estimate of a call with that pair alone, at any worker count, for a
-        # trial count that is a multiple of neither the chunk nor the sub-block
-        trials = montecarlo.CHUNK_TRIALS + _kernels.SUB_TRIALS + 7
+        # estimate of a call with that pair alone, at any worker count: a
+        # full chunk of one-point tiles, then a chunk of 8199 trials whose
+        # one tile holds all three points
+        trials = montecarlo.CHUNK_TRIALS + montecarlo.CHUNK_TRIALS // 4 + 7
         spec, params, _ = self.small_inputs(stop=10.0)
         cfg = EstimatorConfig(trials=trials, seed=42)
         pairs = [
@@ -557,10 +558,12 @@ class TestMain:
         assert err == ""
         metrics = spans.layer_metrics(tracer.spans, tracer.absent)
         # snr_db 0 and 5, each for both protocols in one kernel pass; two
-        # chunks, drawn once
+        # chunks, each drawn in one call; the full chunk runs one tile per
+        # point and the 1000-trial chunk one tile of both points
         points, chunks = 2, 2
+        assert metrics["philox.calls"] == metrics["gains.calls"] == chunks
         assert metrics["philox.blocks"] == trials
-        assert metrics["kernel.calls"] == chunks * points
+        assert metrics["kernel.calls"] == points + 1
         assert metrics["kernel.trials"] == trials * points
         # a header, then 8 ehs-mrc and 6 hs-sc rows per point
         assert len(out.splitlines()) - 1 == 2 * (8 + 6)
@@ -629,7 +632,7 @@ class TestMain:
             ),
             # n = 1, so every standard error is 0
             (["--trials", "1"], "811999b1787f739b41e40673d6419df02f224e7b4f7d0b62b0fac662a9789892"),
-            # a full sub-block, then a sub-block of one trial
+            # one chunk of 8193 trials: the 7 points run as tiles of 3, 3 and 1
             (
                 ["--metrics", "ee", "--trials", "8193"],
                 "96a0e1af7ba7aabaa16f171ad1158eed33af6b2251cf96e7a4d665cd1961600a",
@@ -644,6 +647,19 @@ class TestMain:
                 ["--sweep", "alpha", "--protocol", "ehs-mrc", "--metrics", "op", "--trials", "1000"],
                 "a49fede8da8d1ff01089dd13eda66ff466c1f9e3dee9b6c97f8b953c682c0f22",
             ),
+            # 33 points: a full chunk of one-point tiles, then a 1000-trial
+            # chunk whose points run as tiles of 32 and 1
+            (
+                ["--sweep", "snr", "--start", "0", "--stop", "32", "--step", "1",
+                 "--trials", "33768"],
+                "b592d15a61250248ef133976a69b447891ef5a8c87e21b939cc22ee42de53483",
+            ),
+            # 91 points in tiles of 46 and 45, with thresholds that vary inside a tile
+            (
+                ["--sweep", "alpha", "--start", "0.05", "--stop", "0.95", "--step", "0.01",
+                 "--trials", "700", "--protocol", "hs-sc"],
+                "abd8f6095f8650639ada23212cf38627b16d8594975460269944827d6a11a49a",
+            ),
         ],
         ids=[
             "snr",
@@ -656,6 +672,8 @@ class TestMain:
             "ee-8193",
             "hs-sc-d1",
             "alpha-op",
+            "snr-33",
+            "alpha-hs-sc-91",
         ],
     )
     def test_csv_bytes_pinned(self, argv, digest, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from ehs_cnoma import model
+from ehs_cnoma import _philox, model
 from ehs_cnoma._philox import uniform_lanes
 from oracles import ks_statistic_exponential, philox4x64_10
 
@@ -113,6 +113,14 @@ class TestCounterStream:
         assert np.array_equal(mine[:, 0], ref[[0, 1, 2]])
         assert np.array_equal(mine[:, 1], ref[[4, 5, 6]])
         assert np.array_equal(mine[:, 2], ref[[8, 9, 10]])
+
+    def test_long_range_equals_one_uninterrupted_stream(self):
+        # a range the generator runs through in several steps gives the words
+        # of one random_raw call over the whole range
+        start, n = 5, 2 * _philox._WORD_BLOCKS + 17
+        words = Philox(key=42, counter=start - 1).random_raw(4 * n).reshape(n, 4)
+        ref = (words[:, :3] >> np.uint64(11)) * 2.0 ** -53
+        assert np.array_equal(uniform_lanes(42, start, start + n), ref.T)
 
     def test_uniform_range(self):
         u = uniform_lanes(7, 0, 4096)

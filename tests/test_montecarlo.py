@@ -29,76 +29,108 @@ def estimate(params, varz, cfg, protocol, workers=1):
 
 def chunk(params, varz, cfg, lo, hi, protocol=Protocol.EHS_MRC):
     points = [(params, varz, protocol)]
-    groups = montecarlo._point_groups(points)
-    [part] = montecarlo._run_chunk(groups, cfg, threading.local(), lo, hi)
+    plans = {hi - lo: _kernels.tiles(montecarlo._point_groups(points), 1)}
+    [part] = montecarlo._run_chunk(plans, cfg, threading.local(), lo, hi)
     return part
+
+
+def nan_workspace():
+    # a workspace of a full chunk whose every cell holds NaN, so a read of a
+    # cell the kernel did not write shows
+    ws = _kernels.Workspace(CHUNK_TRIALS, CHUNK_TRIALS)
+    for arr in (ws.draws, ws.shared, ws.far, ws.scratch):
+        arr.fill(np.nan)
+    return ws
+
+
+def run_tiles(points, n, seed=42):
+    """The tiles of one chunk of n trials and every (point, protocol) entry they give, in order."""
+    tiles = _kernels.tiles(montecarlo._point_groups(points), max(1, CHUNK_TRIALS // n))
+    ws = nan_workspace()
+    model.sample_gains(seed, 0, n, out=ws.draws[:, :n])
+    entries = []
+    for tile in tiles:
+        cells, stats = _kernels.accumulate_chunk(tile, ws, n)
+        assert cells == tile.points * n
+        entries.extend(stats)
+    return tiles, entries
+
+
+def snr_points(snr_dbs, protocols):
+    return [
+        (*setup_point(rho=10.0 ** (snr_db / 10.0)), protocol)
+        for snr_db in snr_dbs
+        for protocol in protocols
+    ]
+
+
+# short chunks whose tiles hold up to 7 points and 1 point, a full chunk,
+# and a chunk whose tiles hold two points
+CHUNK_LENGTHS = [
+    CHUNK_TRIALS // 8 + 3,
+    3 * CHUNK_TRIALS // 4 + 5,
+    CHUNK_TRIALS,
+    3 * CHUNK_TRIALS // 8 + 5,
+]
+
+
+def two_point_tiles(n):
+    return [2] if 2 * n <= CHUNK_TRIALS else [1, 1]
 
 
 class TestKernels:
     @pytest.mark.parametrize("protocol", list(Protocol))
     @pytest.mark.parametrize("snr_db", [0.0, 15.0, 30.0])
     def test_kernel_moments_match_numpy(self, protocol, snr_db):
-        # the chunk reduction against plain numpy on the same per-trial
-        # values, for a full chunk and one shorter than a sub-block, in a
-        # workspace whose unused tail holds garbage
-        params, varz = setup_point(rho=10.0 ** (snr_db / 10.0))
-        thr = thresholds(params)
-        for n in (CHUNK_TRIALS, _kernels.SUB_TRIALS // 2 + 3):
+        # the chunk reduction of two points against plain numpy on the same
+        # per-trial values, in a workspace whose unused cells hold NaN
+        points = snr_points([snr_db, snr_db + 3.0], [protocol])
+        for n in CHUNK_LENGTHS:
+            tiles, entries = run_tiles(points, n)
+            assert [t.points for t in tiles] == two_point_tiles(n)
             draws = model.sample_gains(42, 0, n)
-            lambdas = (varz.lambda_ccu, varz.lambda_ceu, varz.lambda_relay)
-            g_ccu, g_ceu, g_relay = [lam * draw for lam, draw in zip(lambdas, draws)]
-            c_x2, out_x2, decoded_x3, p_relay = protocols.near_user(params, thr, g_ccu)
-            links = protocols.far_links(params, g_ceu, g_relay, p_relay)
-            c_x1, c_x3, out_x1, out_x3 = protocols.far_user(
-                params, thr, protocol, links, decoded_x3
-            )
-            esc = (c_x1 + c_x2) + c_x3
-            columns = np.broadcast_arrays(c_x1, c_x2, c_x3, esc, p_relay)
-
-            ws = _kernels.Workspace(CHUNK_TRIALS)
-            for arr in (ws.draws, ws.shared, ws.far, ws.scratch):
-                arr.fill(np.nan)
-            for lane, draw in zip(ws.draws, draws):
-                lane[:n] = draw
-            got_n, [(means, m2, com, counts)] = _kernels.accumulate_chunk(
-                params, thr, [protocol], varz, ws, n
-            )
-            assert got_n == n
-            assert means.tolist() == [arr.mean() for arr in columns]
-            assert m2 == pytest.approx([n * np.var(arr) for arr in columns], rel=1e-12)
-            assert com == pytest.approx(
-                n * np.cov(esc, p_relay, bias=True)[0, 1], rel=1e-12
-            )
-            assert counts.tolist() == [
-                np.count_nonzero(np.broadcast_to(flag, (n,))) for flag in (out_x1, out_x2, out_x3)
-            ]
+            for (params, varz, _), (means, m2, com, counts) in zip(points, entries):
+                thr = thresholds(params)
+                lambdas = (varz.lambda_ccu, varz.lambda_ceu, varz.lambda_relay)
+                g_ccu, g_ceu, g_relay = [lam * draw for lam, draw in zip(lambdas, draws)]
+                c_x2, out_x2, decoded_x3, p_relay = protocols.near_user(params, thr, g_ccu)
+                links = protocols.far_links(params, g_ceu, g_relay, p_relay)
+                c_x1, c_x3, out_x1, out_x3 = protocols.far_user(
+                    params, thr, protocol, links, decoded_x3
+                )
+                esc = (c_x1 + c_x2) + c_x3
+                columns = np.broadcast_arrays(c_x1, c_x2, c_x3, esc, p_relay)
+                assert means.tolist() == [arr.mean() for arr in columns]
+                assert m2 == pytest.approx([n * np.var(arr) for arr in columns], rel=1e-12)
+                assert com == pytest.approx(
+                    n * np.cov(esc, p_relay, bias=True)[0, 1], rel=1e-12
+                )
+                assert counts.tolist() == [
+                    np.count_nonzero(np.broadcast_to(flag, (n,)))
+                    for flag in (out_x1, out_x2, out_x3)
+                ]
 
     @pytest.mark.parametrize("order", [list(Protocol), list(reversed(Protocol))])
-    @pytest.mark.parametrize("n", [_kernels.SUB_TRIALS // 2 + 3, 3 * _kernels.SUB_TRIALS + 5])
+    @pytest.mark.parametrize("n", CHUNK_LENGTHS)
     @pytest.mark.parametrize("snr_db", [0.0, 15.0, 30.0])
     def test_one_pass_equals_one_call_per_protocol(self, snr_db, n, order):
-        # one call for both protocols gives each the statistics of a call
-        # with it alone, bit for bit, on a chunk shorter than a sub-block and
-        # on one of several sub-blocks, in a workspace whose tail holds NaN
-        params, varz = setup_point(rho=10.0 ** (snr_db / 10.0))
-        thr = thresholds(params)
-        ws = _kernels.Workspace(CHUNK_TRIALS)
-        for arr in (ws.draws, ws.shared, ws.far, ws.scratch):
-            arr.fill(np.nan)
-        model.sample_gains(42, 0, n, out=ws.draws[:, :n])
-        got_n, both = _kernels.accumulate_chunk(params, thr, order, varz, ws, n)
-        assert got_n == n
-        assert len(both) == len(order)
+        # one pass for both protocols at two points gives each (point,
+        # protocol) the statistics of a one-point tile with that protocol
+        # alone, bit for bit, whether the points share a tile or not
+        points = snr_points([snr_db, snr_db + 3.0], order)
+        tiles, both = run_tiles(points, n)
+        assert [t.points for t in tiles] == two_point_tiles(n)
+        assert len(both) == len(points)
         by_protocol = {}
-        for protocol, (means, m2, com, counts) in zip(order, both):
-            alone_n, [alone] = _kernels.accumulate_chunk(params, thr, [protocol], varz, ws, n)
-            assert alone_n == n
+        for point, (means, m2, com, counts) in zip(points, both):
+            [alone_tile], [alone] = run_tiles([point], n)
+            assert alone_tile.points == 1
             assert means.tobytes() == alone[0].tobytes()
             assert m2.tobytes() == alone[1].tobytes()
             assert np.float64(com).tobytes() == np.float64(alone[2]).tobytes()
             assert counts.tolist() == alone[3].tolist()
             assert np.isfinite(means).all() and np.isfinite(m2).all() and math.isfinite(com)
-            by_protocol[protocol] = means, counts
+            by_protocol.setdefault(point[2], (means, counts))
         # MRC's combined x3 SINR is never below SC's
         (ehs_means, ehs_counts), (hs_means, hs_counts) = (
             by_protocol[Protocol.EHS_MRC], by_protocol[Protocol.HS_SC]
@@ -125,6 +157,100 @@ class TestKernels:
         n, means, m2, com, counts = chunk(params, varz, cfg, 0, 4096, protocol=Protocol.HS_SC)
         assert counts[0] == n  # x1 never transmitted -> always in outage
         assert means[0] == 0.0  # and carries no capacity
+
+
+def sweep_points(variable, count):
+    """count grid points of one sweep variable, each with both protocols."""
+    if variable == "snr":
+        make = [setup_point(rho=10.0 ** (0.5 * k)) for k in range(count)]
+    elif variable == "alpha":
+        make = [setup_point(alpha=0.1 + 0.05 * k) for k in range(count)]
+    else:
+        make = [setup_point(d1=0.1 + 0.05 * k) for k in range(count)]
+    return [(params, varz, protocol) for params, varz in make for protocol in Protocol]
+
+
+def tile_sizes(points, n):
+    groups = montecarlo._point_groups(points)
+    return [tile.points for tile in _kernels.tiles(groups, max(1, CHUNK_TRIALS // n))]
+
+
+def tile_values(tile):
+    """Every value a tile carries, by name."""
+    thr = tile.thr
+    return {
+        **tile.params._asdict(),
+        "psi_r1": thr.psi_r1,
+        "psi_r2": thr.psi_r2,
+        "psi_r3": thr.psi_r3,
+        **dict(zip(("lambda_ccu", "lambda_ceu", "lambda_relay"), tile.lambdas)),
+    }
+
+
+def assert_each_point_alone(points, cfg):
+    alone = [next(estimate_metrics([point], cfg)) for point in points]
+    for workers in (1, 2):
+        assert list(estimate_metrics(points, cfg, workers=workers)) == alone
+
+
+class TestTiles:
+    # snr varies rho, alpha varies alpha and the thresholds, d1 the variances
+    @pytest.mark.parametrize("variable", ["snr", "alpha", "d1"])
+    @pytest.mark.parametrize(
+        "trials, count, sizes",
+        [
+            (CHUNK_TRIALS // 4, 4, [[4]]),  # one full tile
+            (CHUNK_TRIALS // 4, 7, [[4, 3]]),  # an uneven last tile
+            # one-point tiles on the full chunk, then a one-point last tile
+            (CHUNK_TRIALS + CHUNK_TRIALS // 4, 5, [[1] * 5, [4, 1]]),
+        ],
+    )
+    def test_each_point_equals_its_one_point_call(self, variable, trials, count, sizes):
+        # a point's estimate is the same bits alone and at any tile position,
+        # at any worker count
+        points = sweep_points(variable, count)
+        lengths = [CHUNK_TRIALS, trials - CHUNK_TRIALS] if trials > CHUNK_TRIALS else [trials]
+        assert [tile_sizes(points, n) for n in lengths] == sizes
+        assert_each_point_alone(points, make_cfg(trials=trials))
+
+    def test_protocol_list_change_breaks_the_tile(self):
+        # the third point runs ehs-mrc alone, so it cannot share a tile with
+        # its neighbours, which run both protocols
+        both = sweep_points("d1", 5)
+        points = both[:4] + [both[4]] + both[6:]
+        assert [p for *_, p in points[3:6]] == [Protocol.HS_SC, Protocol.EHS_MRC, Protocol.EHS_MRC]
+        assert tile_sizes(points, CHUNK_TRIALS // 8) == [2, 1, 2]
+        assert_each_point_alone(points, make_cfg(trials=CHUNK_TRIALS // 8))
+
+    @pytest.mark.parametrize(
+        "variable, varying",
+        [
+            ("snr", {"rho"}),
+            ("alpha", {"alpha", "psi_r1", "psi_r2", "psi_r3"}),
+            ("d1", {"lambda_ccu", "lambda_relay"}),
+        ],
+    )
+    def test_only_values_that_vary_are_columns(self, variable, varying):
+        groups = montecarlo._point_groups(sweep_points(variable, 5))
+        [tile] = _kernels.tiles(groups, 8)
+        values = tile_values(tile)
+        columns = {name for name, v in values.items() if isinstance(v, np.ndarray)}
+        assert columns == varying
+        for name in columns:
+            assert values[name].shape == (5, 1)
+        assert all(type(v) is float for name, v in values.items() if name not in columns)
+
+    def test_points_that_share_every_value(self):
+        # the same point twice with one protocol makes two groups whose tile
+        # holds no column at all, so every step runs on (n,) rows and each
+        # row's counts and moments stand for both points
+        point = (*setup_point(), Protocol.EHS_MRC)
+        other = (*setup_point(d1=0.7), Protocol.HS_SC)
+        points = [point, point, other]
+        [shared, other_tile] = _kernels.tiles(montecarlo._point_groups(points), 32)
+        assert (shared.points, other_tile.points) == (2, 1)
+        assert all(type(v) is float for v in tile_values(shared).values())
+        assert_each_point_alone(points, make_cfg(trials=1000))
 
 
 class TestEstimates:
@@ -344,12 +470,12 @@ class TestFinish:
         assert finish_reference(*total)["ee"][1] != pytest.approx(exact, rel=1e-6)
 
 
-def fake_chunk(groups, cfg, local, lo, hi):
+def fake_chunk(plans, cfg, local, lo, hi):
     # moments that depend on the chunk index, so a fold out of order shows
     return [
         (hi - lo, np.full(5, 1.0 + lo), np.zeros(5), 0.0, np.zeros(3, dtype=np.int64))
-        for *_, protocols in groups
-        for _ in protocols
+        for tile in plans[hi - lo]
+        for _ in range(tile.points * len(tile.protocols))
     ]
 
 
@@ -403,6 +529,31 @@ class TestChunkScheduling:
                 tracemalloc.stop()
             assert len(estimates) == len(points)
             assert peak < 1 << 20
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_kernel_memory_bounded_per_thread(self, workers, monkeypatch):
+        # the real kernel: a tile holds at most one chunk's cells, so each
+        # thread's workspace and temporaries stay within a fixed number of
+        # rows of CHUNK_TRIALS doubles, for 491 points of 1000 trials (tiles
+        # of 32 points) as for one point of 10^5 trials (one-point tiles)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        row_bytes = CHUNK_TRIALS * 8
+        dense = [
+            (*setup_point(d1=0.01 + 0.002 * k), protocol)
+            for k in range(491)
+            for protocol in Protocol
+        ]
+        one = [(*setup_point(), Protocol.EHS_MRC)]
+        for points, trials in ((dense, 1000), (one, 10 ** 5)):
+            threads = min(workers, -(-trials // CHUNK_TRIALS))
+            tracemalloc.start()
+            try:
+                estimates = list(estimate_metrics(points, make_cfg(trials=trials), workers=workers))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(estimates) == len(points)
+            assert peak < 14 * row_bytes * threads
 
     def test_worker_threads_capped(self, monkeypatch):
         pools = []
