@@ -10,7 +10,9 @@ once per protocol, and the moments of the shared columns (c_x2, p_relay)
 and the x2 outage count are taken once and reused for every protocol.
 Moments and counts are taken along each point's contiguous row, which
 gives the bits of a 1-D pass over that point alone, so a point's
-statistics do not depend on the tile it sits in.
+statistics do not depend on the tile it sits in. They come back as
+arrays with one row per (point, protocol), which montecarlo joins across
+a chunk's tiles into the rows of the whole call.
 
 Every row a tile keeps lives in a Workspace that is allocated once per
 estimator call and thread, sized to one chunk's draws and the largest
@@ -143,26 +145,33 @@ def _mean_m2(col, dev, n: int, rows: bool):
     return mean, _sum(np.square(dev, out=dev), rows)
 
 
-def _table(columns, points: int, dtype=np.float64):
-    """(points, k) from k per-point values, each a scalar or one per point; (k,) for one point."""
+def _table(rows, points: int, dtype=np.float64):
+    """(points * len(rows), k) from one row of k values per protocol.
+
+    Each value is a scalar or one per point. Row p * len(rows) + j of the
+    result holds point p under protocol j.
+    """
     if points == 1:
-        return np.array(columns, dtype=dtype)
-    out = np.empty((points, len(columns)), dtype)
-    for i, col in enumerate(columns):
-        out[:, i] = col
-    return out
+        return np.array(rows, dtype=dtype)
+    k = len(rows[0])
+    out = np.empty((points, len(rows), k), dtype)
+    for j, row in enumerate(rows):
+        for i, col in enumerate(row):
+            out[:, j, i] = col
+    return out.reshape(-1, k)
 
 
 def accumulate_chunk(tile: Tile, ws: Workspace, n: int):
-    """Statistics of a tile on the first n draws: (cells, [(means[5], m2[5], com, counts[3])]).
+    """Statistics of a tile on the first n draws: (cells, (means, m2, com, counts)).
 
-    cells is tile.points * n. One entry per (point, protocol), points in
-    tile order and each point's protocols in the tile's order. The gains
-    are the workspace draws scaled by the variances. Continuous metric
-    order: c_x1, c_x2, c_x3, esc_total, p_relay; com is the
+    cells is tile.points * n. Each array has one row per (point,
+    protocol), points in tile order and each point's protocols in the
+    tile's order: means and m2 (rows, 5), com (rows,) and counts (rows, 3).
+    The gains are the workspace draws scaled by the variances. Continuous
+    metric order: c_x1, c_x2, c_x3, esc_total, p_relay; com is the
     esc_total/p_relay co-moment. Count order: out_x1, out_x2_ccu,
     out_x3_ceu. Moments use the two-pass form over the whole chunk, and
-    an entry equals that of a one-point tile with its protocol alone bit
+    a row equals that of a one-point tile with its protocol alone bit
     for bit.
     """
     points = tile.points
@@ -188,11 +197,11 @@ def accumulate_chunk(tile: Tile, ws: Workspace, n: int):
     # p_relay is not read again, so its row keeps the deviations for the co-moments
     dev_p = np.subtract(p_relay, mean_p[:, None] if rows else mean_p, out=p_relay)
     m2_p = _sum(np.square(dev_p, out=dev), rows)
-    per_protocol = []
+    means, m2, coms, counts = [], [], [], []
     for protocol in tile.protocols:
         # each protocol is reduced before the next one reuses the far rows
         c_x1, c_x3, out_x1, out_x3 = far_user(params, thr, protocol, links, decoded_x3, out=far)
-        counts = _table([_count(out_x1, shape), count_x2, _count(out_x3, shape)], points, np.int64)
+        counts.append([_count(out_x1, shape), count_x2, _count(out_x3, shape)])
         esc = far[0]
         if isinstance(c_x1, np.ndarray):
             mean_x1, m2_x1 = _mean_m2(c_x1, dev, n, rows)
@@ -205,12 +214,14 @@ def accumulate_chunk(tile: Tile, ws: Workspace, n: int):
         mean_x3, m2_x3 = _mean_m2(c_x3, dev, n, rows)
         mean_esc = _sum(esc, rows) / n
         np.subtract(esc, mean_esc[:, None] if rows else mean_esc, out=esc)
-        com = _sum(np.multiply(esc, dev_p, out=dev), rows)
+        coms.append(_sum(np.multiply(esc, dev_p, out=dev), rows))
         m2_esc = _sum(np.square(esc, out=esc), rows)
-        means = _table([mean_x1, mean_x2, mean_x3, mean_esc, mean_p], points)
-        m2 = _table([m2_x1, m2_x2, m2_x3, m2_esc, m2_p], points)
-        if rows:
-            per_protocol.append(zip(means, m2, com.tolist(), counts))
-        else:
-            per_protocol.append([(means, m2, float(com), counts)])
-    return cells, [entry for point in zip(*per_protocol) for entry in point]
+        means.append([mean_x1, mean_x2, mean_x3, mean_esc, mean_p])
+        m2.append([m2_x1, m2_x2, m2_x3, m2_esc, m2_p])
+    stats = (
+        _table(means, points),
+        _table(m2, points),
+        np.stack(coms, axis=-1).reshape(-1) if rows else np.array(coms),
+        _table(counts, points, np.int64),
+    )
+    return cells, stats

@@ -12,8 +12,8 @@ never asserted away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum, unique
+from typing import NamedTuple
 
 from .model import ChannelVariances, SystemParams
 from .protocols import Protocol, Thresholds, harvest_factor, thresholds
@@ -28,8 +28,7 @@ class Exactness(Enum):
     APPROXIMATE = "approximate"
 
 
-@dataclass(frozen=True)
-class AnalyticReport:
+class AnalyticReport(NamedTuple):
     value: float
     exactness: Exactness
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -145,16 +145,21 @@ def db_to_linear(snr_db: float) -> float:
         raise ValueError(f"snr_db={snr_db} overflows 10^(snr_db/10)") from None
 
 
-def _point_params(spec: SweepSpec, params: SystemParams, value: float) -> SystemParams:
-    if spec.variable == "snr_db":
-        return replace(params, rho=db_to_linear(value))
-    return replace(params, **{spec.variable: value})
+def _grid_params(spec: SweepSpec, params: SystemParams, values) -> list[SystemParams]:
+    """params at each grid value, each built by the constructor, which runs every check."""
+    key = "rho" if spec.variable == "snr_db" else spec.variable
+    point = asdict(params)
+    out = []
+    for value in values:
+        point[key] = db_to_linear(value) if key == "rho" else value
+        out.append(SystemParams(**point))
+    return out
 
 
-def _row_layout(spec: SweepSpec, protocol: Protocol) -> list[tuple[str, str, str]]:
-    """(metric id, metric, symbol) of each row a grid point gives the protocol, in row order."""
+def _row_layout(spec: SweepSpec, protocol: Protocol) -> list[tuple[str, str, str, int]]:
+    """(metric id, metric, symbol, estimate column) of each row a grid point gives the protocol."""
     return [
-        (metric_id, metric, symbol)
+        (metric_id, metric, symbol, montecarlo.METRICS.index(metric_id))
         for metric_id, (metric, symbol) in _ROW_LAYOUT.items()
         # x1 is never transmitted by the baseline, so its rows are dropped
         if metric in spec.metrics and not (protocol is Protocol.HS_SC and symbol == "x1")
@@ -174,19 +179,21 @@ def run_sweep(
     # an interval or an overflow that grows one way along the monotone grid,
     # so the two ends pass exactly when every point does; fail before the
     # first estimate.
-    for value in (grid[0], grid[-1]):
-        p_end = _point_params(spec, params, value)
+    for p_end in _grid_params(spec, params, (grid[0], grid[-1])):
         model.variances_from_distances(p_end)
         thresholds(p_end)
-    grid_points = []
-    for value in grid:
-        p_point = _point_params(spec, params, value)
-        grid_points.append((value, p_point, model.variances_from_distances(p_point)))
+    grid_points = [
+        (value, p, model.variances_from_distances(p))
+        for value, p in zip(grid, _grid_params(spec, params, grid))
+    ]
     # one call draws each chunk once for every (point, protocol), and the
     # protocols of a point sit side by side, so they share one kernel pass
     points = [(p, varz, protocol) for _, p, varz in grid_points for protocol in spec.protocols]
-    estimates = montecarlo.estimate_metrics(points, cfg, workers=workers)
+    estimates = montecarlo.estimate_metrics(points, cfg, workers=workers).rows
     layouts = [(p, p.value, _row_layout(spec, p)) for p in spec.protocols]
+    variable, trials, seed = spec.variable, cfg.trials, cfg.seed
+    # tuple.__new__ fills a row without SweepRow's per-field argument binding
+    new_row = tuple.__new__
     rows: list[SweepRow] = []
     for value, p_point, varz in grid_points:
         # the protocols of a point share its near-user closed forms
@@ -194,21 +201,16 @@ def run_sweep(
         for protocol, name, layout in layouts:
             # taking the estimates in row order checks each one right before
             # its closed forms
-            est = next(estimates)
+            means, std_errors = next(estimates)
             forms = analytic.closed_forms(p_point, varz, protocol, forms)
-            for metric_id, metric, symbol in layout:
+            for metric_id, metric, symbol, col in layout:
                 form = forms.get(metric_id)
+                ana = None if form is None else form.value
                 rows.append(
-                    SweepRow(
-                        spec.variable,
-                        value,
-                        name,
-                        metric,
-                        symbol,
-                        None if form is None else form.value,
-                        *est[metric_id],
-                        cfg.trials,
-                        cfg.seed,
+                    new_row(
+                        SweepRow,
+                        (variable, value, name, metric, symbol, ana, means[col],
+                         std_errors[col], trials, seed),
                     )
                 )
     return rows
@@ -227,12 +229,26 @@ def write_csv(rows: list[SweepRow], destination) -> None:
     if not rows:
         raise ValueError("no rows to write")
     lines = [CSV_HEADER]
+    # the rows of a sweep point share their variable and value objects, and
+    # those of a run their trials and seed, so each head and tail is
+    # formatted once per run of rows that hold the same objects; identity,
+    # not equality, decides, as 0.0 == -0.0 prints two ways
+    head_key = tail_key = (None, object())
     for variable, value, protocol, metric, symbol, ana, sim, se, trials, seed in rows:
-        ana = "" if ana is None else _fmt(ana)
-        lines.append(
-            f"{variable},{value:.9g},{protocol},{metric},{symbol},{ana},{sim:.9g},{se:.9g},"
-            f"{trials},{seed}"
-        )
+        if variable is not head_key[0] or value is not head_key[1]:
+            head_key = variable, value
+            head = f"{variable},{value:.9g},"
+        if trials is not tail_key[0] or seed is not tail_key[1]:
+            tail_key = trials, seed
+            tail = f",{trials},{seed}"
+        # one % operation builds the line; %.9g is _fmt's format
+        if ana is None:
+            line = "%s%s,%s,%s,,%.9g,%.9g%s" % (head, protocol, metric, symbol, sim, se, tail)
+        else:
+            line = "%s%s,%s,%s,%.9g,%.9g,%.9g%s" % (
+                head, protocol, metric, symbol, ana, sim, se, tail
+            )
+        lines.append(line)
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)

@@ -38,9 +38,9 @@ class SystemParams:
     r3: float = 1.0
 
     def __post_init__(self):
-        for field in fields(self):
-            if not math.isfinite(getattr(self, field.name)):
-                raise ValueError(f"{field.name} must be finite, got {getattr(self, field.name)}")
+        for name in _PARAM_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rho < 0.0:
             raise ValueError(f"rho must be >= 0, got {self.rho}")
         if not 0.0 < self.p_n < self.p_f:
@@ -62,6 +62,10 @@ class SystemParams:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.v < 0.0:
             raise ValueError(f"v must be >= 0, got {self.v}")
+
+
+# read once, not per instance
+_PARAM_FIELDS = tuple(field.name for field in fields(SystemParams))
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,15 @@ Trials are cut into fixed-size chunks. Each chunk is drawn once, into a
 workspace its thread reuses for every chunk, and reduced to counts and
 two-pass moments at every point of the call. The kernel takes the points
 a tile at a time: adjacent points that share a protocol list, up to one
-chunk's worth of (point, trial) cells, in one pass. Each point folds its
-chunks into its running total in index order with the exact
-count-weighted update. A point's result is therefore a pure function of
-(params, variances, protocol, config) no matter how many workers ran the
-chunks, which other points shared the call or where its tile cut the
-grid, and a thread's workspace grows with neither the trial count nor the
-point count.
+chunk's worth of (point, trial) cells, in one pass. A chunk's statistics
+are arrays with one row per (point, protocol) of the call, and the
+chunks fold into the call's running total in index order with the exact
+count-weighted update, one array operation for every row at once. The
+total is finished into estimates the same way, once per call. A point's
+result is therefore a pure function of (params, variances, protocol,
+config) no matter how many workers ran the chunks, which other points
+shared the call or where its tile cut the grid, and a thread's workspace
+grows with neither the trial count nor the point count.
 """
 
 from __future__ import annotations
@@ -35,8 +37,11 @@ from .protocols import Protocol, thresholds
 
 CHUNK_TRIALS = 32768
 
-_CONT_INDEX = {"c_x1": 0, "c_x2": 1, "c_x3": 2, "esc_total": 3, "mean_p_relay": 4}
-_FLAG_INDEX = {"op_x1": 0, "op_x2_ccu": 1, "op_x3_ceu": 2}
+# the estimate columns: the five continuous moments, the three outage
+# counts, then the energy efficiency
+METRICS = (
+    "c_x1", "c_x2", "c_x3", "esc_total", "mean_p_relay", "op_x1", "op_x2_ccu", "op_x3_ceu", "ee"
+)
 # the smallest normal double: a square of the mean relay power below it has lost precision
 _TINY = sys.float_info.min
 
@@ -85,19 +90,29 @@ def _point_groups(points):
     evaluates it in one pass.
     """
     groups = []
+    last_params = last_varz = protocols = None
     for params, varz, protocol in points:
-        if groups and groups[-1][:2] == (params, varz) and protocol not in groups[-1][3]:
-            groups[-1][3].append(protocol)
-        else:
-            groups.append((params, varz, thresholds(params), [protocol]))
+        # the protocols of a sweep point share its objects, so identity
+        # settles most comparisons without comparing every field
+        if (
+            protocols is not None
+            and (params is last_params or params == last_params)
+            and (varz is last_varz or varz == last_varz)
+            and protocol not in protocols
+        ):
+            protocols.append(protocol)
+            continue
+        last_params, last_varz, protocols = params, varz, [protocol]
+        groups.append((params, varz, thresholds(params), protocols))
     return groups
 
 
 def _run_chunk(plans, cfg, local, lo, hi):
-    """Moments of every point on trials [lo, hi), drawn once into this thread's workspace.
+    """Statistics of every point on trials [lo, hi), drawn once into this thread's workspace.
 
-    plans maps a chunk length to its tiles (see _chunk_parts). One entry
-    per point, in order: (n, means, m2, co-moment, counts).
+    plans maps a chunk length to its tiles (see _chunk_parts). Returns
+    (n, means, m2, co-moment, counts) with one row per (point, protocol),
+    in call order (see _kernels.accumulate_chunk).
     """
     n = hi - lo
     ws = getattr(local, "ws", None)
@@ -109,11 +124,11 @@ def _run_chunk(plans, cfg, local, lo, hi):
     # error rather than as a stream of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         model.sample_gains(cfg.seed, lo, hi, out=ws.draws[:, :n])
-        parts = []
-        for tile in plans[n]:
-            _, stats = _kernels.accumulate_chunk(tile, ws, n)
-            parts.extend((n, *point) for point in stats)
-        return parts
+        stats = [_kernels.accumulate_chunk(tile, ws, n)[1] for tile in plans[n]]
+    if len(stats) == 1:
+        # a one-tile chunk, such as every full chunk of a one-point call, needs no copy
+        return (n, *stats[0])
+    return (n, *map(np.concatenate, zip(*stats)))
 
 
 def _chunk_parts(points, cfg, workers):
@@ -149,7 +164,8 @@ def _chunk_parts(points, cfg, workers):
 
 
 def _merge(a, b):
-    # exact count-weighted pooling of (n, means, m2, co-moment, counts)
+    # exact count-weighted pooling of (n, means, m2, co-moment, counts), all
+    # rows at once: every row has the chunk's n, so w and nb / n are shared
     na, mean_a, m2_a, com_a, cnt_a = a
     nb, mean_b, m2_b, com_b, cnt_b = b
     n = na + nb
@@ -157,68 +173,91 @@ def _merge(a, b):
     w = na * nb / n
     mean = mean_a + d * (nb / n)
     m2 = m2_a + m2_b + d * d * w
-    com = com_a + com_b + d[3] * d[4] * w
+    com = com_a + com_b + d[:, 3] * d[:, 4] * w
     return n, mean, m2, com, cnt_a + cnt_b
 
 
-def _ratio_estimate(n, means, m2, com) -> Estimate:
-    # nan or inf where the ratio is undefined, which _finish reports; float
-    # arithmetic overflows to inf and underflows to 0 as numpy's does
-    mean_esc, mean_p = means[3], means[4]
-    if mean_p == 0.0:
-        return Estimate(math.nan, math.nan)
-    ratio = mean_esc / mean_p
-    if n <= 1:
-        return Estimate(ratio, 0.0)
-    var_esc = m2[3] / (n - 1)
-    var_p = m2[4] / (n - 1)
-    cov = com / (n - 1)
-    # first-order variance of a ratio of sample means
-    var_num = var_esc - 2.0 * ratio * cov + ratio * ratio * var_p
-    mean_p_sq = mean_p * mean_p
-    if mean_p_sq >= _TINY:
-        var_ratio = var_num / mean_p_sq
-    else:
-        # mean_p squared is 0 or subnormal at extreme low SNR, where dividing
-        # by mean_p twice keeps the quotient defined
-        var_ratio = var_num / mean_p / mean_p
-    return Estimate(ratio, math.sqrt(max(var_ratio, 0.0) / n))
+def _finish(total):
+    """Means and standard errors of every row of a call's total, in METRICS order.
 
-
-def _merge_parts(a, b):
-    # each point folds on its own; na * nb / n stays exact Python-int division
-    return [_merge(x, y) for x, y in zip(a, b)]
-
-
-def _finish(point, total) -> dict[str, Estimate]:
-    params, varz, _ = point
+    Returns (mean, std_error, moments_ok, ee_ok): two (rows, 9) arrays
+    and two flags per row, False where a moment is not finite or where the
+    energy efficiency or its standard error is not. Each value has the
+    bits of the same formula in Python floats: numpy's + - * / and sqrt
+    round as they do, and counts / n converts exactly below 2^53.
+    """
     n, means, m2, com, counts = total
-    # one conversion to Python numbers; the float math below rounds as numpy's does
-    means, m2, counts, com = means.tolist(), m2.tolist(), counts.tolist(), float(com)
-    if not (all(map(math.isfinite, means)) and all(map(math.isfinite, m2)) and math.isfinite(com)):
-        raise ValueError(f"simulated moments overflow at {analytic._describe_point(params, varz)}")
-    ee = _ratio_estimate(n, means, m2, com)
-    if not (math.isfinite(ee.mean) and math.isfinite(ee.std_error)):
-        raise analytic._undefined_ee(params, varz, means[4])
+    mean = np.empty((len(means), len(METRICS)))
+    # one trial leaves no spread to estimate, so its standard errors stay 0
+    std_error = np.zeros((len(means), len(METRICS)))
+    with np.errstate(all="ignore"):
+        p = counts / n
+        mean_p = means[:, 4]
+        ratio = means[:, 3] / mean_p
+        if n > 1:
+            std_error[:, :5] = np.sqrt(m2 / (n - 1) / n)
+            std_error[:, 5:8] = np.sqrt(p * (1.0 - p) * n / (n - 1) / n)
+            var_esc = m2[:, 3] / (n - 1)
+            var_p = m2[:, 4] / (n - 1)
+            cov = com / (n - 1)
+            # first-order variance of a ratio of sample means
+            var_num = var_esc - 2.0 * ratio * cov + ratio * ratio * var_p
+            mean_p_sq = mean_p * mean_p
+            # mean_p squared is 0 or subnormal at extreme low SNR, where
+            # dividing by mean_p twice keeps the quotient defined
+            var_ratio = np.where(
+                mean_p_sq >= _TINY, var_num / mean_p_sq, var_num / mean_p / mean_p
+            )
+            # max(v, 0.0) of Python floats: -0.0 and nan pass through
+            std_error[:, 8] = np.sqrt(np.where(0.0 > var_ratio, 0.0, var_ratio) / n)
+        mean[:, :5] = means
+        mean[:, 5:8] = p
+        mean[:, 8] = ratio
+        # no ratio where the mean relay power is 0
+        undefined = mean_p == 0.0
+        mean[undefined, 8] = std_error[undefined, 8] = math.nan
+        moments_ok = np.isfinite(means).all(axis=1) & np.isfinite(m2).all(axis=1) & np.isfinite(com)
+        ee_ok = np.isfinite(mean[:, 8]) & np.isfinite(std_error[:, 8])
+    return mean, std_error, moments_ok, ee_ok
 
-    # one trial leaves no spread to estimate, so its standard errors are 0
-    out: dict[str, Estimate] = {}
-    for metric, idx in _CONT_INDEX.items():
-        se = math.sqrt(m2[idx] / (n - 1) / n) if n > 1 else 0.0
-        out[metric] = Estimate(means[idx], se)
-    for metric, idx in _FLAG_INDEX.items():
-        p = counts[idx] / n
-        se = math.sqrt(p * (1.0 - p) * n / (n - 1) / n) if n > 1 else 0.0
-        out[metric] = Estimate(p, se)
-    out["ee"] = ee
-    return out
+
+def _checked_rows(points, mean, std_error, moments_ok, ee_ok):
+    """Each point's (means, std_errors) as lists of floats, its errors raised as it is taken."""
+    for (params, varz, _), means, std_errors, moments_fine, ee_fine in zip(
+        points, mean.tolist(), std_error.tolist(), moments_ok.tolist(), ee_ok.tolist()
+    ):
+        if not moments_fine:
+            raise ValueError(
+                f"simulated moments overflow at {analytic._describe_point(params, varz)}"
+            )
+        if not ee_fine:
+            raise analytic._undefined_ee(params, varz, means[4])
+        yield means, std_errors
+
+
+class Estimates(Iterator):
+    """A call's estimates, taken one point at a time in call order.
+
+    Iterating gives each point as a dict of Estimates keyed by METRICS.
+    rows gives the same points as (means, std_errors), two lists of floats
+    in METRICS order, without building the dict. Both draw on one stream,
+    and a point whose moments overflow or whose energy efficiency is
+    undefined raises its ValueError when it is taken.
+    """
+
+    def __init__(self, rows: Iterator[tuple[list[float], list[float]]]):
+        self.rows = rows
+
+    def __next__(self) -> dict[str, Estimate]:
+        means, std_errors = next(self.rows)
+        return dict(zip(METRICS, map(Estimate, means, std_errors)))
 
 
 def estimate_metrics(
     points: Iterable[tuple[SystemParams, ChannelVariances, Protocol]],
     cfg: EstimatorConfig,
     workers: int = 1,
-) -> Iterator[dict[str, Estimate]]:
+) -> Estimates:
     """Monte-Carlo estimates of all capacity, outage, and power metrics at each point.
 
     A point is (params, varz, protocol). Each chunk of trials is drawn once
@@ -230,20 +269,24 @@ def estimate_metrics(
     max(1, CHUNK_TRIALS // n) groups, one kernel pass each.
 
     Returns an iterator with one dict per point, in order: Estimates keyed
-    by the metric ids of analytic.closed_forms plus mean_p_relay; ee is the
-    ratio of the esc_total and mean_p_relay means with a first-order
-    standard error. The simulation runs inside the call; the overflow and
-    energy-efficiency checks of a point run when its dict is taken, so a
-    caller that does other work point by point meets errors in point
-    order. Worker threads are capped at the CPU count and the chunk count;
-    the result does not depend on them.
+    by METRICS, the metric ids of analytic.closed_forms plus mean_p_relay;
+    ee is the ratio of the esc_total and mean_p_relay means with a
+    first-order standard error. Its rows attribute gives the same points
+    as lists of floats (see Estimates). The simulation and the finishing
+    arithmetic run inside the call; the overflow and energy-efficiency
+    checks of a point run when it is taken, so a caller that does other
+    work point by point meets errors in point order. Worker threads are
+    capped at the CPU count and the chunk count; the result does not
+    depend on them.
     """
     points = list(points)
+    if not points:
+        return Estimates(iter(()))
     # a left fold in index order, so every worker count gives the same bytes;
     # an overflow in the fold, as in a chunk, is left for _finish to report
     with np.errstate(over="ignore", invalid="ignore"):
-        totals = functools.reduce(_merge_parts, _chunk_parts(points, cfg, workers))
-    return map(_finish, points, totals)
+        total = functools.reduce(_merge, _chunk_parts(points, cfg, workers))
+    return Estimates(_checked_rows(points, *_finish(total)))
 
 
 def _row(metric: str, form: AnalyticReport, est: Estimate) -> ValidationRow:

@@ -343,6 +343,39 @@ class TestWriteCsv:
         with pytest.raises(ValueError):
             write_csv([], io.StringIO())
 
+    def test_rows_that_share_values_match_a_plain_row_formatter(self):
+        # write_csv formats a head (variable, value) and a tail (trials, seed)
+        # once per run of rows holding the same objects; equal but distinct
+        # objects, 0.0 against -0.0, True against 1 and a change of variable
+        # under one value object must still print as each row alone would
+        first, second = float("0.1"), float("0.1")
+        zero, negative_zero = 0.0, -0.0
+        assert first == second and first is not second and zero == negative_zero
+        heads = [
+            ("snr_db", first),
+            ("snr_db", second),
+            ("snr_db", zero),
+            ("snr_db", negative_zero),
+            ("alpha", negative_zero),
+            ("alpha", negative_zero),
+        ]
+        tails = [(1000, 42), (int("1000"), 42), (1000, 1), (1000, True), (1000, True), (7, 7)]
+        rows = [
+            cli.SweepRow(variable, value, "hs-sc", "op", "x2", ana, 0.25 * k, -0.0, trials, seed)
+            for k, ((variable, value), (trials, seed), ana) in enumerate(
+                zip(heads, tails, [None, 1.5, None, 2.0, -0.0, 1e-300])
+            )
+        ]
+        plain = [cli.CSV_HEADER] + [
+            f"{v},{value:.9g},{p},{m},{s},{'' if a is None else format(a, '.9g')},"
+            f"{sim:.9g},{se:.9g},{t},{seed}"
+            for v, value, p, m, s, a, sim, se, t, seed in rows
+        ]
+        buffer = io.StringIO()
+        write_csv(rows, buffer)
+        assert buffer.getvalue() == "\n".join(plain) + "\n"
+        assert ",-0,hs-sc," in buffer.getvalue() and ",1000,True\n" in buffer.getvalue()
+
 
 class TestMain:
     def test_small_run_to_file(self, tmp_path, capsys):
@@ -471,6 +504,53 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert fragment in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "config, variable, start, stop, step, first_kind",
+        [
+            # d1 = 1e-4 makes the near-user gain variance 1e200, so the first
+            # point's simulated moments overflow; at d1 = 999999 the closed-form
+            # EE of the second point overflows
+            ("v = 50\nd2 = 1e6\nsnr_db = -190", "d1", 1e-4, 999999.0, 999998.9999, "estimate"),
+            # the closed-form EE overflows at -3200 dB and the simulated
+            # moments overflow at 2000 dB
+            ("", "snr_db", -3200.0, 2000.0, 5200.0, "closed form"),
+        ],
+    )
+    def test_only_the_first_failing_point_is_reported(
+        self, config, variable, start, stop, step, first_kind, tmp_path, capsys
+    ):
+        # a point's estimate is checked right before its closed forms, and
+        # the points in grid order, so neither kind of error at a later
+        # point may overtake one at an earlier point
+        params, _ = parse_config(config)
+        cfg = EstimatorConfig(trials=1000, seed=42)
+        spec = SweepSpec(variable, start, stop, step)
+        errors = []
+        for p in cli._grid_params(spec, params, spec.values()):
+            varz = model.variances_from_distances(p)
+            kinds = {}
+            try:
+                next(montecarlo.estimate_metrics([(p, varz, Protocol.EHS_MRC)], cfg))
+            except ValueError as exc:
+                kinds["estimate"] = str(exc)
+            try:
+                analytic.closed_forms(p, varz, Protocol.EHS_MRC)
+            except ValueError as exc:
+                kinds["closed form"] = str(exc)
+            errors.append(kinds)
+        # each of the two points fails in one way only, the second in the other
+        [(kind, message)], [other] = errors[0].items(), errors[1]
+        assert kind == first_kind and other != first_kind
+        path = tmp_path / "run.conf"
+        path.write_text(config + "\n", encoding="utf-8")
+        sweep = {"snr_db": "snr"}.get(variable, variable)
+        argv = ["--config", str(path), "--sweep", sweep, "--start", repr(start), "--stop",
+                repr(stop), "--step", repr(step), "--protocol", "ehs-mrc", "--trials", "1000"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("snr_db", ["-3000", "-3200"])
@@ -660,6 +740,18 @@ class TestMain:
                  "--trials", "700", "--protocol", "hs-sc"],
                 "abd8f6095f8650639ada23212cf38627b16d8594975460269944827d6a11a49a",
             ),
+            # dense grids of 451 alpha and 401 SNR points, each finished as
+            # one table of (point, protocol) rows
+            (
+                ["--sweep", "alpha", "--start", "0.05", "--stop", "0.95", "--step", "0.002",
+                 "--trials", "1000"],
+                "bdb269b4476ebb1faed07f6a7c2289de3d1734741eefae3d10fe5a8b55fd53c9",
+            ),
+            (
+                ["--sweep", "snr", "--start", "0", "--stop", "40", "--step", "0.1",
+                 "--trials", "1000"],
+                "248e14270662a52e916a03cfb0d0313731d465819e65df663405420f25ed534b",
+            ),
         ],
         ids=[
             "snr",
@@ -674,6 +766,8 @@ class TestMain:
             "alpha-op",
             "snr-33",
             "alpha-hs-sc-91",
+            "alpha-451",
+            "snr-401",
         ],
     )
     def test_csv_bytes_pinned(self, argv, digest, capsys):

@@ -28,10 +28,15 @@ def estimate(params, varz, cfg, protocol, workers=1):
 
 
 def chunk(params, varz, cfg, lo, hi, protocol=Protocol.EHS_MRC):
+    """A one-point call's chunk statistics: (n, means, m2, com, counts) with one row."""
     points = [(params, varz, protocol)]
     plans = {hi - lo: _kernels.tiles(montecarlo._point_groups(points), 1)}
-    [part] = montecarlo._run_chunk(plans, cfg, threading.local(), lo, hi)
-    return part
+    return montecarlo._run_chunk(plans, cfg, threading.local(), lo, hi)
+
+
+def first_row(total):
+    n, means, m2, com, counts = total
+    return n, means[0], m2[0], com[0], counts[0]
 
 
 def nan_workspace():
@@ -52,7 +57,8 @@ def run_tiles(points, n, seed=42):
     for tile in tiles:
         cells, stats = _kernels.accumulate_chunk(tile, ws, n)
         assert cells == tile.points * n
-        entries.extend(stats)
+        assert [len(column) for column in stats] == [tile.points * len(tile.protocols)] * 4
+        entries.extend(zip(*stats))
     return tiles, entries
 
 
@@ -154,7 +160,9 @@ class TestKernels:
     def test_baseline_flag_semantics(self):
         params, varz = setup_point()
         cfg = make_cfg(trials=4096)
-        n, means, m2, com, counts = chunk(params, varz, cfg, 0, 4096, protocol=Protocol.HS_SC)
+        n, means, m2, com, counts = first_row(
+            chunk(params, varz, cfg, 0, 4096, protocol=Protocol.HS_SC)
+        )
         assert counts[0] == n  # x1 never transmitted -> always in outage
         assert means[0] == 0.0  # and carries no capacity
 
@@ -366,6 +374,10 @@ class TestEstimates:
         with pytest.raises(ValueError):
             make_cfg(trials=0)
 
+    def test_no_points_give_no_estimates(self):
+        estimates = estimate_metrics([], make_cfg(trials=10))
+        assert list(estimates) == [] and list(estimates.rows) == []
+
 
 def hand_total(n, means, m2, com, counts):
     return (
@@ -392,27 +404,109 @@ def finish_cases():
             1000, [0.0, 0.0, 0.0, 0.0, means[4]], [0.0, 0.0, 0.0, 0.0, m2[4]], 0.0, [1000, 5, 1000]
         ),
     }
-    # totals of real chunks: one chunk's Python-float co-moment, and a merge's numpy one
+    # totals of real chunks: one chunk's, and the merge of two
     params, varz = setup_point()
     cfg = make_cfg(trials=3000)
     for protocol in Protocol:
         first = chunk(params, varz, cfg, 0, 1000, protocol)
-        cases[f"chunk {protocol.value}"] = first
-        cases[f"merged {protocol.value}"] = montecarlo._merge(
-            first, chunk(params, varz, cfg, 1000, 3000, protocol)
+        cases[f"chunk {protocol.value}"] = first_row(first)
+        cases[f"merged {protocol.value}"] = first_row(
+            montecarlo._merge(first, chunk(params, varz, cfg, 1000, 3000, protocol))
         )
     return cases
 
 
 FINISH_CASES = finish_cases()
+FINISH_POINT = (*setup_point(), Protocol.EHS_MRC)
+# rows at the edges of the finish: a ratio variance of -0.0, which
+# max(v, 0.0) passes, one below 0, which it clips, and one trial
+EDGE_CASES = {
+    "ratio variance -0.0": hand_total(
+        1000, [1.0, 2.0, 3.0, 4.0, 0.5], [1.0, 1.0, 1.0, -0.0, -0.0], 0.0, [3, 4, 5]
+    ),
+    "ratio variance < 0": hand_total(
+        1000, [1.0, 2.0, 3.0, 4.0, 0.5], [1.0, 1.0, 1.0, 1.0, 1.0], 10.0, [3, 4, 5]
+    ),
+    "n=1 zero esc": hand_total(1, [0.0, 0.0, 0.0, 0.0, 0.25], np.zeros(5), 0.0, [1, 1, 0]),
+}
+# rows the reference rejects: no relay power, and a moment that overflowed
+REJECTED_CASES = {
+    "zero mean relay power": hand_total(
+        1000, [1.0, 2.0, 3.0, 4.0, 0.0], np.ones(5), 0.0, [0, 0, 0]
+    ),
+    "zero mean relay power n=1": hand_total(
+        1, [1.0, 2.0, 3.0, 4.0, 0.0], np.zeros(5), 0.0, [1, 0, 0]
+    ),
+    "overflowed moment": hand_total(
+        1000, [1.0, 2.0, math.inf, 4.0, 0.5], np.ones(5), 0.0, [0, 0, 0]
+    ),
+}
+# a mean relay power whose square underflows or is subnormal, where the
+# finish divides by it twice and departs from the reference on purpose
+TINY_MEAN_P_CASES = {
+    "square underflows": hand_total(
+        1000, [0.0, 0.0, 0.0, 0.0, 3e-300], np.zeros(5), 0.0, [0, 0, 0]
+    ),
+    "square subnormal": hand_total(
+        1000, [0.0, 0.0, 0.0, 2e-6, 3e-160], [0.0, 0.0, 0.0, 1e-17, 0.0], 0.0, [0, 0, 0]
+    ),
+}
+
+
+def table(totals):
+    """Totals of one trial count, stacked as the rows of one whole-call total."""
+    [n] = {total[0] for total in totals}
+    return (n, *(np.array([total[k] for total in totals]) for k in range(1, 5)))
+
+
+def finish(total):
+    """One total finished as a one-point call: {metric: Estimate}; raises its ValueError."""
+    finished = montecarlo._finish(table([total]))
+    [est] = montecarlo.Estimates(montecarlo._checked_rows([FINISH_POINT], *finished))
+    return est
+
+
+def hex_pairs(estimates):
+    return [(float.hex(mean), float.hex(std_error)) for mean, std_error in estimates]
 
 
 class TestFinish:
-    POINT = (*setup_point(), Protocol.EHS_MRC)
+    def test_one_table_per_trial_count(self):
+        # every total above finished as a row of one whole-call table per
+        # trial count: each row has the reference's bits, or is flagged as
+        # the reference rejects it, whatever rows sit beside it
+        named = {**FINISH_CASES, **EDGE_CASES, **REJECTED_CASES, **TINY_MEAN_P_CASES}
+        by_n = {}
+        for name, total in named.items():
+            by_n.setdefault(total[0], []).append(name)
+        assert sorted(by_n) == [1, 2, 1000, 3000]
+        for names in by_n.values():
+            mean, std_error, moments_ok, ee_ok = montecarlo._finish(
+                table([named[name] for name in names])
+            )
+            for i, name in enumerate(names):
+                got = hex_pairs(zip(mean[i].tolist(), std_error[i].tolist()))
+                if name in TINY_MEAN_P_CASES:
+                    want = hex_pairs(finish(named[name]).values())
+                    assert (got, moments_ok[i], ee_ok[i]) == (want, True, True), name
+                    continue
+                try:
+                    reference = finish_reference(*named[name])
+                except ValueError as exc:
+                    assert name in REJECTED_CASES
+                    if str(exc) == "moments":
+                        assert not moments_ok[i], name
+                    else:
+                        # no ratio without relay power, as at one point alone
+                        assert moments_ok[i] and not ee_ok[i], name
+                        assert math.isnan(mean[i, -1]) and math.isnan(std_error[i, -1]), name
+                    continue
+                want = hex_pairs(reference[metric] for metric in montecarlo.METRICS)
+                assert (got, moments_ok[i], ee_ok[i]) == (want, True, True), name
 
     @pytest.mark.parametrize("total", FINISH_CASES.values(), ids=FINISH_CASES.keys())
     def test_bits_match_numpy_scalar_reference(self, total):
-        got = montecarlo._finish(self.POINT, total)
+        got = finish(total)
         want = finish_reference(*total)
         assert list(got) == list(want)
         for metric, est in got.items():
@@ -434,7 +528,7 @@ class TestFinish:
         with pytest.raises(ValueError, match="moments"):
             finish_reference(*total)
         with pytest.raises(ValueError, match=r"^simulated moments overflow at snr_db=15 \(rho="):
-            montecarlo._finish(self.POINT, total)
+            finish(total)
 
     @pytest.mark.parametrize("n", [1, 1000])
     def test_zero_mean_relay_power_raises(self, n):
@@ -447,7 +541,7 @@ class TestFinish:
         with pytest.raises(
             ValueError, match=r"^energy efficiency undefined at snr_db=15 .*: mean relay power is 0$"
         ):
-            montecarlo._finish(self.POINT, total)
+            finish(total)
 
     def test_mean_relay_power_whose_square_underflows(self):
         # about -3000 dB: esc is 0 and mean_p^2 underflows to 0, which made the
@@ -455,7 +549,7 @@ class TestFinish:
         total = hand_total(1000, [0.0, 0.0, 0.0, 0.0, 3e-300], np.zeros(5), 0.0, [0, 0, 0])
         with pytest.raises(ValueError, match="ee"):
             finish_reference(*total)
-        ee = montecarlo._finish(self.POINT, total)["ee"]
+        ee = finish(total)["ee"]
         assert (ee.mean, ee.std_error) == (0.0, 0.0)
 
     def test_mean_relay_power_whose_square_is_subnormal(self):
@@ -465,18 +559,21 @@ class TestFinish:
         means, m2 = [0.0, 0.0, 0.0, 2e-6, mean_p], [0.0, 0.0, 0.0, m2_esc, 0.0]
         total = hand_total(n, means, m2, 0.0, [0, 0, 0])
         exact = math.sqrt(Fraction(m2_esc) / (n - 1) / Fraction(mean_p) ** 2 / n)
-        ee = montecarlo._finish(self.POINT, total)["ee"]
+        ee = finish(total)["ee"]
         assert ee.std_error == pytest.approx(exact, rel=1e-15)
         assert finish_reference(*total)["ee"][1] != pytest.approx(exact, rel=1e-6)
 
 
 def fake_chunk(plans, cfg, local, lo, hi):
     # moments that depend on the chunk index, so a fold out of order shows
-    return [
-        (hi - lo, np.full(5, 1.0 + lo), np.zeros(5), 0.0, np.zeros(3, dtype=np.int64))
-        for tile in plans[hi - lo]
-        for _ in range(tile.points * len(tile.protocols))
-    ]
+    rows = sum(tile.points * len(tile.protocols) for tile in plans[hi - lo])
+    return (
+        hi - lo,
+        np.full((rows, 5), 1.0 + lo),
+        np.zeros((rows, 5)),
+        np.zeros(rows),
+        np.zeros((rows, 3), dtype=np.int64),
+    )
 
 
 class LazyFuture:
