@@ -167,12 +167,16 @@ def _row_layout(spec: SweepSpec, protocol: Protocol) -> list[tuple[str, str, str
 
 
 def run_sweep(
-    spec: SweepSpec, params: SystemParams, cfg: EstimatorConfig, workers: int = 1
-) -> list[SweepRow]:
-    """One row per (grid point, protocol, metric, symbol), in that order.
+    spec: SweepSpec, params: SystemParams, cfg: EstimatorConfig, workers: int = 1,
+    validate: bool = False,
+) -> tuple[list[SweepRow], list[montecarlo.ValidationReport]]:
+    """(rows, reports): one row per (grid point, protocol, metric, symbol), in that order.
 
     Variances and thresholds are re-derived at every point, so sweeping d1
     or alpha changes them consistently. For SNR sweeps the grid is in dB.
+    With validate, reports holds compare_with_analytic's report for each
+    protocol at params, the base point, estimated after the grid in the same
+    call, so on the same draws; otherwise it is empty. Grid errors come first.
     """
     grid = spec.values()
     # Each check of SystemParams, variances_from_distances and thresholds is
@@ -189,7 +193,17 @@ def run_sweep(
     # one call draws each chunk once for every (point, protocol), and the
     # protocols of a point sit side by side, so they share one kernel pass
     points = [(p, varz, protocol) for _, p, varz in grid_points for protocol in spec.protocols]
-    estimates = montecarlo.estimate_metrics(points, cfg, workers=workers).rows
+    base = []
+    if validate:
+        # the base point's own checks run now, but its error is raised after the grid's
+        try:
+            base_varz = model.variances_from_distances(params)
+            thresholds(params)
+            base = [(params, base_varz, protocol) for protocol in spec.protocols]
+        except ValueError as exc:
+            base_error = exc
+    call = montecarlo.estimate_metrics(points + base, cfg, workers=workers)
+    estimates = call.rows
     layouts = [(p, p.value, _row_layout(spec, p)) for p in spec.protocols]
     variable, trials, seed = spec.variable, cfg.trials, cfg.seed
     # tuple.__new__ fills a row without SweepRow's per-field argument binding
@@ -213,7 +227,9 @@ def run_sweep(
                          std_errors[col], trials, seed),
                     )
                 )
-    return rows
+    if validate and not base:
+        raise base_error
+    return rows, [montecarlo.compare_with_analytic(*point, next(call)) for point in base]
 
 
 def _fmt(value: float) -> str:
@@ -346,14 +362,7 @@ def main(argv=None) -> int:
             protocols=protocols,
             metrics=metrics,
         )
-        rows = run_sweep(spec, params, cfg, workers=args.workers)
-        reports = []
-        if args.validate:
-            varz = model.variances_from_distances(params)
-            reports = [
-                montecarlo.compare_with_analytic(params, varz, cfg, p, workers=args.workers)
-                for p in protocols
-            ]
+        rows, reports = run_sweep(spec, params, cfg, workers=args.workers, validate=args.validate)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -304,18 +304,16 @@ def _row(metric: str, form: AnalyticReport, est: Estimate) -> ValidationRow:
 def compare_with_analytic(
     params: SystemParams,
     varz: ChannelVariances,
-    cfg: EstimatorConfig,
     protocol: Protocol,
-    workers: int = 1,
+    est: dict[str, Estimate],
 ) -> ValidationReport:
-    """Cross-check simulation against the closed forms.
+    """Cross-check a point's simulated estimate against its closed forms.
 
-    One row per metric with a closed form, in closed_forms order. Forms
-    tagged exact are z-tested and flagged FAIL beyond three standard
-    errors. Approximate forms are listed with their gap for inspection and
-    never fail on the gap alone.
+    est is the point's dict from estimate_metrics. One row per metric with
+    a closed form, in closed_forms order. Forms tagged exact are z-tested
+    and flagged FAIL beyond three standard errors. Approximate forms are
+    listed with their gap for inspection and never fail on the gap alone.
     """
-    [est] = estimate_metrics([(params, varz, protocol)], cfg, workers=workers)
     forms = analytic.closed_forms(params, varz, protocol)
     rows = tuple(_row(m, form, est[m]) for m, form in forms.items())
     return ValidationReport(protocol, rows)

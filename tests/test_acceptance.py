@@ -210,7 +210,8 @@ def test_criterion_10_approximations_reported_not_asserted():
     params = params_at()
     varz = model.variances_from_distances(params)
     cfg = EstimatorConfig(trials=100_000, seed=SEED)
-    report = montecarlo.compare_with_analytic(params, varz, cfg, Protocol.EHS_MRC)
+    [est] = montecarlo.estimate_metrics([(params, varz, Protocol.EHS_MRC)], cfg)
+    report = montecarlo.compare_with_analytic(params, varz, Protocol.EHS_MRC, est)
     rows = {row.metric: row for row in report.rows}
     approx_ok = all(
         rows[m].status == "APPROX"

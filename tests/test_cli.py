@@ -168,7 +168,8 @@ class TestRunSweep:
 
     def test_row_layout_and_order(self):
         spec, params, cfg = self.small_inputs()
-        rows = run_sweep(spec, params, cfg)
+        rows, reports = run_sweep(spec, params, cfg)
+        assert reports == []
         assert len(rows) == 2 * (8 + 6)
         ehs_rows = rows[:8]
         assert [(r.metric, r.symbol) for r in ehs_rows] == [
@@ -198,7 +199,8 @@ class TestRunSweep:
 
     def test_analytic_cells(self):
         spec, params, cfg = self.small_inputs(stop=10.0)
-        by_key = {(r.protocol, r.metric, r.symbol): r for r in run_sweep(spec, params, cfg)}
+        rows, _ = run_sweep(spec, params, cfg)
+        by_key = {(r.protocol, r.metric, r.symbol): r for r in rows}
         for key in (("ehs-mrc", "esc", "x1"), ("ehs-mrc", "op", "x3"), ("ehs-mrc", "ee", "-")):
             assert by_key[key].analytic is not None
         for key in (("hs-sc", "esc", "x3"), ("hs-sc", "esc", "sum"), ("hs-sc", "ee", "-")):
@@ -224,7 +226,7 @@ class TestRunSweep:
         alone = [next(montecarlo.estimate_metrics([point], cfg)) for point in points]
         for workers in (1, 2):
             assert list(montecarlo.estimate_metrics(points, cfg, workers=workers)) == alone
-            rows = run_sweep(spec, params, cfg, workers=workers)
+            rows, _ = run_sweep(spec, params, cfg, workers=workers)
             by_key = {(r.value, r.protocol, r.metric, r.symbol): r for r in rows}
             for (value, _, protocol), est in zip(pairs, alone):
                 for metric_id, (metric, symbol) in cli._ROW_LAYOUT.items():
@@ -251,7 +253,7 @@ class TestRunSweep:
         monkeypatch.setattr(_philox, "uniform_lanes", counting)
         spec, params, _ = self.small_inputs(variable=variable, start=start, stop=stop, step=step)
         cfg = EstimatorConfig(trials=montecarlo.CHUNK_TRIALS + 1000, seed=42)
-        rows = run_sweep(spec, params, cfg)
+        rows, _ = run_sweep(spec, params, cfg)
         assert {(r.value, r.protocol) for r in rows} == {
             (value, protocol.value) for value in spec.values() for protocol in Protocol
         }
@@ -259,7 +261,7 @@ class TestRunSweep:
 
     def test_metric_subset(self):
         spec, params, cfg = self.small_inputs(stop=10.0, metrics=("op",))
-        rows = run_sweep(spec, params, cfg)
+        rows, _ = run_sweep(spec, params, cfg)
         assert [(r.protocol, r.symbol) for r in rows] == [
             ("ehs-mrc", "x1"),
             ("ehs-mrc", "x2"),
@@ -298,11 +300,26 @@ class TestRunSweep:
         spec, params, cfg = self.small_inputs()
         assert run_sweep(spec, params, cfg, workers=1) == run_sweep(spec, params, cfg, workers=3)
 
+    def test_validate_reports_the_base_point_from_the_same_call(self):
+        # the base point (15 dB) is not on the grid; its entries follow the
+        # grid's in the sweep's one call, and a point's estimate is the one a
+        # call with that point alone gives, at any worker count
+        spec, params, _ = self.small_inputs(start=0.0, stop=10.0)
+        cfg = EstimatorConfig(trials=montecarlo.CHUNK_TRIALS + 1000, seed=42)
+        varz = model.variances_from_distances(params)
+        alone = [
+            montecarlo.compare_with_analytic(*point, next(montecarlo.estimate_metrics([point], cfg)))
+            for point in [(params, varz, protocol) for protocol in spec.protocols]
+        ]
+        plain, _ = run_sweep(spec, params, cfg)
+        for workers in (1, 2):
+            assert run_sweep(spec, params, cfg, workers=workers, validate=True) == (plain, alone)
+
 
 class TestWriteCsv:
     def rows(self):
         spec, params, cfg = TestRunSweep().small_inputs(stop=10.0)
-        return run_sweep(spec, params, cfg)
+        return run_sweep(spec, params, cfg)[0]
 
     def test_format(self):
         rows = self.rows()
@@ -375,6 +392,93 @@ class TestWriteCsv:
         write_csv(rows, buffer)
         assert buffer.getvalue() == "\n".join(plain) + "\n"
         assert ",-0,hs-sc," in buffer.getvalue() and ",1000,True\n" in buffer.getvalue()
+
+
+CSV_DIGESTS = [
+    # default SNR grid; 40000 trials span two chunks, so the merge runs
+    (["--trials", "40000"], "7bb739a24ea3aeabca8759f746a4e153c166c82202daa5ebaea6511d39276027"),
+    (
+        ["--sweep", "alpha", "--trials", "5000"],
+        "158e6c8fb20be60dff1c1498c1d544ae8c16a7445d18b0bcd2ab0c6d1e515338",
+    ),
+    (
+        ["--sweep", "d1", "--trials", "5000"],
+        "afb7127eb9017501bbdd6c0bd511ff8b399d8ed3f4fdde3ba4253e005c01d400",
+    ),
+    # one protocol per kernel pass
+    (
+        ["--protocol", "hs-sc", "--trials", "40000"],
+        "634fcc99843fc2e8e822dc813983ae09e3668f7aa2175e9a76772ab95caf73fb",
+    ),
+    (
+        ["--protocol", "ehs-mrc", "--trials", "40000"],
+        "7fba3f8cbe7bd5fd8624ad48a8724b39cb44bef9636e84756ca1c7d7f532420d",
+    ),
+    # the benchmark's grid-dense argv: 491 points, each one kernel pass
+    (
+        ["--sweep", "d1", "--start", "0.01", "--stop", "0.99", "--step", "0.002",
+         "--trials", "1000"],
+        "77dcc695b4e33f3fb9cdd239035d6bc4ec6f9093e28398ed004f1ece85aa8260",
+    ),
+    # n = 1, so every standard error is 0
+    (["--trials", "1"], "811999b1787f739b41e40673d6419df02f224e7b4f7d0b62b0fac662a9789892"),
+    # one chunk of 8193 trials: the 7 points run as tiles of 3, 3 and 1
+    (
+        ["--metrics", "ee", "--trials", "8193"],
+        "96a0e1af7ba7aabaa16f171ad1158eed33af6b2251cf96e7a4d665cd1961600a",
+    ),
+    # the closed forms of a point with one protocol
+    (
+        ["--protocol", "hs-sc", "--sweep", "d1", "--trials", "2000"],
+        "b27a1718f4071dc49d0b83085e5a9c9f49dcf3aaf7afe2b9242523dd5ec30730",
+    ),
+    # thresholds that change from point to point, and filtered rows
+    (
+        ["--sweep", "alpha", "--protocol", "ehs-mrc", "--metrics", "op", "--trials", "1000"],
+        "a49fede8da8d1ff01089dd13eda66ff466c1f9e3dee9b6c97f8b953c682c0f22",
+    ),
+    # 33 points: a full chunk of one-point tiles, then a 1000-trial
+    # chunk whose points run as tiles of 32 and 1
+    (
+        ["--sweep", "snr", "--start", "0", "--stop", "32", "--step", "1",
+         "--trials", "33768"],
+        "b592d15a61250248ef133976a69b447891ef5a8c87e21b939cc22ee42de53483",
+    ),
+    # 91 points in tiles of 46 and 45, with thresholds that vary inside a tile
+    (
+        ["--sweep", "alpha", "--start", "0.05", "--stop", "0.95", "--step", "0.01",
+         "--trials", "700", "--protocol", "hs-sc"],
+        "abd8f6095f8650639ada23212cf38627b16d8594975460269944827d6a11a49a",
+    ),
+    # dense grids of 451 alpha and 401 SNR points, each finished as
+    # one table of (point, protocol) rows
+    (
+        ["--sweep", "alpha", "--start", "0.05", "--stop", "0.95", "--step", "0.002",
+         "--trials", "1000"],
+        "bdb269b4476ebb1faed07f6a7c2289de3d1734741eefae3d10fe5a8b55fd53c9",
+    ),
+    (
+        ["--sweep", "snr", "--start", "0", "--stop", "40", "--step", "0.1",
+         "--trials", "1000"],
+        "248e14270662a52e916a03cfb0d0313731d465819e65df663405420f25ed534b",
+    ),
+]
+CSV_IDS = [
+    "snr",
+    "alpha",
+    "d1",
+    "hs-sc",
+    "ehs-mrc",
+    "grid-dense",
+    "one-trial",
+    "ee-8193",
+    "hs-sc-d1",
+    "alpha-op",
+    "snr-33",
+    "alpha-hs-sc-91",
+    "alpha-451",
+    "snr-401",
+]
 
 
 class TestMain:
@@ -674,103 +778,140 @@ class TestMain:
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
 
-    def test_validate_output_pinned(self, tmp_path, capsys):
-        # rows in closed_forms order for both protocols, z only on exact forms
-        argv = ["--trials", "3000", "--stop", "5", "--validate", "--out", str(tmp_path / "v.csv")]
-        assert main(argv) == 0
-        err = capsys.readouterr().err
-        digest = "6eaffa3434a7771cf26ec1199132cd2496beb5dab7762ab95888f158d6ce5009"
-        assert hashlib.sha256(err.encode("utf-8")).hexdigest() == digest
-
+    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize(
-        "argv, digest",
+        "argv, out_digest, err_digest",
         [
-            # default SNR grid; 40000 trials span two chunks, so the merge runs
-            (["--trials", "40000"], "7bb739a24ea3aeabca8759f746a4e153c166c82202daa5ebaea6511d39276027"),
+            # rows in closed_forms order for both protocols, z only on exact forms
+            (
+                ["--trials", "3000", "--stop", "5"],
+                "55fd36b5dd415b364e23d278255ba9bf8efb811fd3e264a74211e0a11e3fef48",
+                "6eaffa3434a7771cf26ec1199132cd2496beb5dab7762ab95888f158d6ce5009",
+            ),
+            # the base, 15 dB, is a grid point; two chunks
+            (
+                ["--trials", "40000"],
+                "7bb739a24ea3aeabca8759f746a4e153c166c82202daa5ebaea6511d39276027",
+                "80145805913d76db322bd62cfa1721cc447f6704bd00210e14c50d6dce6514a8",
+            ),
+            # the base alpha, 0.3, is no grid value: 0.1 + 2 * 0.1 = 0.30000000000000004
             (
                 ["--sweep", "alpha", "--trials", "5000"],
                 "158e6c8fb20be60dff1c1498c1d544ae8c16a7445d18b0bcd2ab0c6d1e515338",
+                "383eb769b3e3da751675ab6fa86863a1aba0ec4d413b39c5761cd48fc750008b",
             ),
+            # one protocol
             (
-                ["--sweep", "d1", "--trials", "5000"],
-                "afb7127eb9017501bbdd6c0bd511ff8b399d8ed3f4fdde3ba4253e005c01d400",
-            ),
-            # one protocol per kernel pass
-            (
-                ["--protocol", "hs-sc", "--trials", "40000"],
-                "634fcc99843fc2e8e822dc813983ae09e3668f7aa2175e9a76772ab95caf73fb",
-            ),
-            (
-                ["--protocol", "ehs-mrc", "--trials", "40000"],
-                "7fba3f8cbe7bd5fd8624ad48a8724b39cb44bef9636e84756ca1c7d7f532420d",
-            ),
-            # the benchmark's grid-dense argv: 491 points, each one kernel pass
-            (
-                ["--sweep", "d1", "--start", "0.01", "--stop", "0.99", "--step", "0.002",
-                 "--trials", "1000"],
-                "77dcc695b4e33f3fb9cdd239035d6bc4ec6f9093e28398ed004f1ece85aa8260",
-            ),
-            # n = 1, so every standard error is 0
-            (["--trials", "1"], "811999b1787f739b41e40673d6419df02f224e7b4f7d0b62b0fac662a9789892"),
-            # one chunk of 8193 trials: the 7 points run as tiles of 3, 3 and 1
-            (
-                ["--metrics", "ee", "--trials", "8193"],
-                "96a0e1af7ba7aabaa16f171ad1158eed33af6b2251cf96e7a4d665cd1961600a",
-            ),
-            # the closed forms of a point with one protocol
-            (
-                ["--protocol", "hs-sc", "--sweep", "d1", "--trials", "2000"],
-                "b27a1718f4071dc49d0b83085e5a9c9f49dcf3aaf7afe2b9242523dd5ec30730",
-            ),
-            # thresholds that change from point to point, and filtered rows
-            (
-                ["--sweep", "alpha", "--protocol", "ehs-mrc", "--metrics", "op", "--trials", "1000"],
-                "a49fede8da8d1ff01089dd13eda66ff466c1f9e3dee9b6c97f8b953c682c0f22",
-            ),
-            # 33 points: a full chunk of one-point tiles, then a 1000-trial
-            # chunk whose points run as tiles of 32 and 1
-            (
-                ["--sweep", "snr", "--start", "0", "--stop", "32", "--step", "1",
-                 "--trials", "33768"],
-                "b592d15a61250248ef133976a69b447891ef5a8c87e21b939cc22ee42de53483",
-            ),
-            # 91 points in tiles of 46 and 45, with thresholds that vary inside a tile
-            (
-                ["--sweep", "alpha", "--start", "0.05", "--stop", "0.95", "--step", "0.01",
-                 "--trials", "700", "--protocol", "hs-sc"],
-                "abd8f6095f8650639ada23212cf38627b16d8594975460269944827d6a11a49a",
-            ),
-            # dense grids of 451 alpha and 401 SNR points, each finished as
-            # one table of (point, protocol) rows
-            (
-                ["--sweep", "alpha", "--start", "0.05", "--stop", "0.95", "--step", "0.002",
-                 "--trials", "1000"],
-                "bdb269b4476ebb1faed07f6a7c2289de3d1734741eefae3d10fe5a8b55fd53c9",
-            ),
-            (
-                ["--sweep", "snr", "--start", "0", "--stop", "40", "--step", "0.1",
-                 "--trials", "1000"],
-                "248e14270662a52e916a03cfb0d0313731d465819e65df663405420f25ed534b",
+                ["--protocol", "hs-sc", "--trials", "3000", "--stop", "5"],
+                "9ca7a468abfe9be15a0d94ba4cc7f9330a88c5682cb3b1da965b5bb804040df4",
+                "e7513e454780a4bbd6a8559c48d55cb7e1a2d7d939967ece88d731bbdd03e1ae",
             ),
         ],
-        ids=[
-            "snr",
-            "alpha",
-            "d1",
-            "hs-sc",
-            "ehs-mrc",
-            "grid-dense",
-            "one-trial",
-            "ee-8193",
-            "hs-sc-d1",
-            "alpha-op",
-            "snr-33",
-            "alpha-hs-sc-91",
-            "alpha-451",
-            "snr-401",
+        ids=["snr-3000", "snr-40000", "alpha", "hs-sc"],
+    )
+    def test_validate_output_pinned(self, argv, out_digest, err_digest, workers, capsys):
+        # the CSV is the plain sweep's, whatever --validate adds to the call
+        assert main(argv + ["--validate", "--workers", workers]) == 0
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == out_digest
+        assert hashlib.sha256(captured.err.encode("utf-8")).hexdigest() == err_digest
+
+    def test_validate_draws_each_trial_once(self, tmp_path, capsys, monkeypatch):
+        # the default run's base point joins the sweep's one estimate call,
+        # so its 100000 trials are drawn once for the grid and the base
+        calls, blocks = [], []
+        estimate_metrics = montecarlo.estimate_metrics
+
+        def counting_estimates(*args, **kwargs):
+            calls.append(1)
+            return estimate_metrics(*args, **kwargs)
+
+        def counting_lanes(seed, start, stop, out=None):
+            blocks.append(stop - start)
+            return uniform_lanes(seed, start, stop, out=out)
+
+        monkeypatch.setattr(montecarlo, "estimate_metrics", counting_estimates)
+        monkeypatch.setattr(_philox, "uniform_lanes", counting_lanes)
+        assert main(["--validate", "--out", str(tmp_path / "v.csv")]) == 0
+        assert "VALIDATE hs-sc c_x2:" in capsys.readouterr().err
+        assert (len(calls), sum(blocks)) == (1, 100_000)
+
+    @pytest.mark.parametrize(
+        "config, argv, code, err",
+        [
+            # the grid's error comes before the base point's, which is another
+            (
+                "snr_db = -3200\nr3 = 380",
+                ["--sweep", "alpha", "--start", "0.1", "--stop", "0.2"],
+                2,
+                "error: energy efficiency undefined at snr_db=-3200 (rho=9.99989e-321) with "
+                "gain variances (4, 1, 4): mean relay power is 1.46243e-320\n",
+            ),
+            (
+                "snr_db = -3200\nv = 1050\nd2 = 2",
+                ["--sweep", "d1", "--start", "1.0", "--stop", "1.2"],
+                2,
+                "error: energy efficiency undefined at snr_db=-3200 (rho=9.99989e-321) with "
+                "gain variances (1, 8.28905e-317, 1): mean relay power is 8.10268e-321\n",
+            ),
+            # the same grids pass, so the base point's own error comes out
+            (
+                "r3 = 380",
+                ["--sweep", "alpha", "--start", "0.1", "--stop", "0.2"],
+                2,
+                "error: decode threshold 2^(2*rate/(1-alpha)) overflows at rate=380.0, "
+                "alpha=0.3\n",
+            ),
+            (
+                "v = 1050\nd2 = 2",
+                ["--sweep", "d1", "--start", "1.0", "--stop", "1.2"],
+                2,
+                "error: path loss d^(-v) leaves (0, inf) at d1=0.5, d2=2.0, v=1050.0\n",
+            ),
+            # an error at the base point's estimate or closed forms
+            (
+                "snr_db = -3200",
+                ["--start", "0", "--stop", "5"],
+                2,
+                "error: energy efficiency undefined at snr_db=-3200 (rho=9.99989e-321) with "
+                "gain variances (4, 1, 4): mean relay power is 3.24058e-320\n",
+            ),
+            # the simulated capacity is 0 against a subnormal exact form
+            (
+                "snr_db = -3200",
+                ["--start", "0", "--stop", "5", "--protocol", "hs-sc"],
+                1,
+                "VALIDATE hs-sc c_x2: analytic=2.02072849e-321 simulated=0 std_error=0 "
+                "z=+inf FAIL\n"
+                "VALIDATE hs-sc op_x2_ccu: analytic=0.9 simulated=1 std_error=0 APPROX\n",
+            ),
+        ],
+        ids=["grid-first-alpha", "grid-first-d1", "base-alpha", "base-d1", "base-ee", "base-fail"],
+    )
+    def test_validate_errors_at_the_base_point(self, config, argv, code, err, tmp_path, capsys):
+        path = tmp_path / "run.conf"
+        path.write_text(config + "\n", encoding="utf-8")
+        argv = ["--config", str(path), *argv, "--trials", "1000", "--validate"]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == err
+        if code == 2:
+            assert captured.out == ""
+        else:
+            # a failed validation still writes the CSV
+            digest = "cf1f653e6088d31c020b4c06dccacbfb3fd87dfb160891d8c59e79510624ea04"
+            assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest, workers",
+        [
+            # one worker keeps the case's own id
+            pytest.param(argv, digest, workers, id=name if workers == "1" else f"{name}-workers-2")
+            for (argv, digest), name in zip(CSV_DIGESTS, CSV_IDS)
+            for workers in ("1", "2")
         ],
     )
-    def test_csv_bytes_pinned(self, argv, digest, capsys):
-        assert main(argv) == 0
+    def test_csv_bytes_pinned(self, argv, digest, workers, capsys):
+        assert main(argv + ["--workers", workers]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -675,7 +675,8 @@ class TestChunkScheduling:
 class TestValidationReport:
     def test_row_layout(self):
         params, varz = setup_point()
-        report = montecarlo.compare_with_analytic(params, varz, make_cfg(), Protocol.EHS_MRC)
+        est = estimate(params, varz, make_cfg(), Protocol.EHS_MRC)
+        report = montecarlo.compare_with_analytic(params, varz, Protocol.EHS_MRC, est)
         metrics = [row.metric for row in report.rows]
         assert metrics == [
             "c_x1",
@@ -698,7 +699,8 @@ class TestValidationReport:
 
     def test_baseline_rows(self):
         params, varz = setup_point()
-        report = montecarlo.compare_with_analytic(params, varz, make_cfg(), Protocol.HS_SC)
+        est = estimate(params, varz, make_cfg(), Protocol.HS_SC)
+        report = montecarlo.compare_with_analytic(params, varz, Protocol.HS_SC, est)
         assert [row.metric for row in report.rows] == ["c_x2", "op_x2_ccu"]
         assert report.rows[0].status == "OK"
         assert report.rows[1].status == "APPROX"
@@ -710,9 +712,8 @@ class TestValidationReport:
             return 0.5
 
         monkeypatch.setattr(analytic, "op_ceu_x1", broken)
-        report = montecarlo.compare_with_analytic(
-            params, varz, make_cfg(trials=50_000), Protocol.EHS_MRC
-        )
+        est = estimate(params, varz, make_cfg(trials=50_000), Protocol.EHS_MRC)
+        report = montecarlo.compare_with_analytic(params, varz, Protocol.EHS_MRC, est)
         assert report.failed
         row = {r.metric: r for r in report.rows}["op_x1"]
         assert row.status == "FAIL"
