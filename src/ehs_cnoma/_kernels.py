@@ -14,17 +14,16 @@ statistics do not depend on the tile it sits in. They come back as
 arrays with one row per (point, protocol), which montecarlo joins across
 a chunk's tiles into the rows of the whole call.
 
-Every row a tile keeps lives in a Workspace that is allocated once per
-estimator call and thread, sized to one chunk's draws and the largest
-tile's cells, and reused by each chunk that thread runs.
-model.sample_gains writes the draws into it lane-major, a gain with one
-value per cell goes into a row that is free until the moments or
-far_user write it, and the physics writes its capacities and the relay
-power into it through `out` rows.
+Every array of a tile lives in a Workspace, which a thread reuses for
+each chunk it runs and montecarlo keeps from one call to the next:
+model.sample_gains draws into it lane-major, and the gains, the physics
+and the moments write into its numbered rows through `out`, so no chunk
+allocates an array that grows with its trials or cells.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import NamedTuple
 
@@ -97,52 +96,78 @@ def tiles(groups, max_points: int) -> list[Tile]:
 
 
 class Workspace:
-    """The reused arrays of a thread: draws of up to `trials` trials, rows of up to `cells` cells.
+    """The reused arrays of a thread: the draws of a chunk, and numbered rows for a tile's values.
 
     draws: unit-mean exponential draws of the near-user, far-user and relay
-    gains, one lane per row. shared: c_x2 and p_relay, which every protocol
-    at a point shares. far: c_x1 (which becomes esc_total once its moments
-    are taken) and c_x3 of the protocol being reduced; a protocol whose
-    c_x1 is a constant writes only esc_total there. scratch: one row for
-    the moments. A tile of P points on n trials views the first P * n
-    cells of a row as (P, n).
+    gains, one lane per row. rows: seven float rows, and flags: three bool
+    rows, which the protocols.py steps and accumulate_chunk use in a fixed
+    plan (see there). A value views the first cells of its row to its own
+    shape, and a row is made anew only for a value longer than any it held.
     """
 
-    def __init__(self, trials: int, cells: int):
-        self.draws = np.empty((3, trials))
-        self.shared = np.empty((2, cells))
-        self.far = np.empty((2, cells))
-        self.scratch = np.empty(cells)
+    trials = 0
+
+    def __init__(self):
+        self.rows = [np.empty(0)] * 7
+        self.flags = [np.empty(0, dtype=bool)] * 3
+
+    def fit(self, trials: int):
+        """Room for the draws of `trials` trials, kept once grown."""
+        if trials > self.trials:
+            self.trials = trials
+            self.draws = np.empty((3, trials))
+
+    def cells(self, shape, rows, flags=()):
+        """The numbered float rows and bool flags, viewed to shape, whatever they held dead."""
+        size = math.prod(shape)
+        return [_views(self.rows, rows, size, shape), _views(self.flags, flags, size, shape)]
+
+    def row(self, k: int, shape):
+        """Float row k viewed to shape, whatever it held dead."""
+        return _views(self.rows, (k,), math.prod(shape), shape)[0]
 
 
-def _gain(lam, draw, row):
-    # a gain with one value per cell goes into the given free row; one that
-    # every point of the tile shares stays a single (n,) row
-    per_cell = row.ndim == 1 or isinstance(lam, np.ndarray)
-    return np.multiply(lam, draw, out=row if per_cell else None)
+def _views(arrays, numbers, size: int, shape):
+    # the first size cells of each numbered array, made anew where it is shorter
+    views = []
+    for k in numbers:
+        if arrays[k].size < size:
+            arrays[k] = np.empty(size, arrays[k].dtype)
+        views.append(arrays[k][:size].reshape(shape))
+    return views
 
 
-def _count(flag, shape):
-    """Trials in outage: an int on a 1-D row, else one count per point of the tile.
+def _gain(lam, draw, ws, k: int):
+    # into row k: one gain per cell where the variance varies in the tile,
+    # one (n,) row where it is shared
+    shape = draw.shape if not isinstance(lam, np.ndarray) else (len(lam), len(draw))
+    return np.multiply(lam, draw, out=ws.row(k, shape))
 
-    A scalar flag holds for every trial, and a flag of one (n,) row for
-    every point.
-    """
+
+def _count(flag, n: int):
+    """Trials in outage: one count per point where the flag varies in the tile, else one count."""
     if not isinstance(flag, np.ndarray):
-        return shape[-1] * flag
+        return n * flag
+    # count_nonzero takes a slower path when given an axis
     return np.count_nonzero(flag, axis=-1) if flag.ndim == 2 else np.count_nonzero(flag)
 
 
-def _sum(x, rows: bool):
+def _sum(x):
     # np.add.reduce along a contiguous row gives the bits of the 1-D sum of that row
-    return np.add.reduce(x, axis=-1) if rows else np.add.reduce(x)
+    return np.add.reduce(x, axis=-1)
 
 
-def _mean_m2(col, dev, n: int, rows: bool):
-    # np.add.reduce(col) / n is ndarray.mean bit for bit, without its wrapper
-    mean = _sum(col, rows) / n
-    np.subtract(col, mean[:, None] if rows else mean, out=dev)
-    return mean, _sum(np.square(dev, out=dev), rows)
+def _moments(x, n: int, ws, dev: int, squares=None):
+    """(mean, sum of squared deviations, deviations) along each row of x.
+
+    The deviations go to workspace row dev, which may hold x itself, and
+    their squares to row squares, by default dev.
+    """
+    # np.add.reduce(x) / n is ndarray.mean bit for bit, without its wrapper
+    mean = _sum(x) / n
+    dev = np.subtract(x, mean[..., None], out=ws.row(dev, x.shape))
+    squares = dev if squares is None else ws.row(squares, x.shape)
+    return mean, _sum(np.square(dev, out=squares)), dev
 
 
 def _table(rows, points: int, dtype=np.float64):
@@ -175,53 +200,52 @@ def accumulate_chunk(tile: Tile, ws: Workspace, n: int):
     for bit.
     """
     points = tile.points
-    cells = points * n
-    rows = points > 1
-    shape = (points, n) if rows else (n,)
     params, thr = tile.params, tile.thr
     lambda_ccu, lambda_ceu, lambda_relay = tile.lambdas
     draw_ccu, draw_ceu, draw_relay = ws.draws[:, :n]
-    shared = ws.shared[:, :cells].reshape(2, *shape)
-    far = ws.far[:, :cells].reshape(2, *shape)
-    dev = ws.scratch[:cells].reshape(shape)
 
-    g_ccu = _gain(lambda_ccu, draw_ccu, dev)
-    _, out_x2, decoded_x3, p_relay = near_user(params, thr, g_ccu, out=shared)
-    g_ceu = _gain(lambda_ceu, draw_ceu, far[0])
-    links = far_links(params, g_ceu, _gain(lambda_relay, draw_relay, far[1]), p_relay)
-    count_x2 = _count(out_x2, shape)
-
-    c_x2, p_relay = shared
-    mean_x2, m2_x2 = _mean_m2(c_x2, dev, n, rows)
-    mean_p = _sum(p_relay, rows) / n
+    # rows 0-1 keep c_x2 and p_relay (then its deviations) through the
+    # tile, rows 4-6 the links through the last protocol; the gains, then
+    # far_user's c_x1 and c_x3, take rows 2-3 (see the protocols.py steps)
+    g_ccu = _gain(lambda_ccu, draw_ccu, ws, 3)
+    c_x2, out_x2, decoded_x3, p_relay = near_user(params, thr, g_ccu, ws)
+    g_ceu, g_relay = _gain(lambda_ceu, draw_ceu, ws, 2), _gain(lambda_relay, draw_relay, ws, 3)
+    links = far_links(params, g_ceu, g_relay, p_relay, ws)
+    count_x2 = _count(out_x2, n)
+    mean_x2, m2_x2, _ = _moments(c_x2, n, ws, 2)
     # p_relay is not read again, so its row keeps the deviations for the co-moments
-    dev_p = np.subtract(p_relay, mean_p[:, None] if rows else mean_p, out=p_relay)
-    m2_p = _sum(np.square(dev_p, out=dev), rows)
-    means, m2, coms, counts = [], [], [], []
-    for protocol in tile.protocols:
-        # each protocol is reduced before the next one reuses the far rows
-        c_x1, c_x3, out_x1, out_x3 = far_user(params, thr, protocol, links, decoded_x3, out=far)
-        counts.append([_count(out_x1, shape), count_x2, _count(out_x3, shape)])
-        esc = far[0]
+    mean_p, m2_p, dev_p = _moments(p_relay, n, ws, 1, 2)
+    # the baseline leaves row 2 free for esc_total; the enhanced protocol
+    # goes last, when the links are dead, and takes row 6, whose relayed
+    # SNR already has one value per cell wherever a sweep's does
+    order = sorted(tile.protocols, key=lambda protocol: protocol is Protocol.EHS_MRC)
+    reduced = {}
+    for protocol in order:
+        c_x1, c_x3, out_x1, out_x3 = far_user(params, thr, protocol, links, decoded_x3, ws)
+        counts = [_count(out_x1, n), count_x2, _count(out_x3, n)]
+        k = 6 if isinstance(c_x1, np.ndarray) else 2
+        shape = np.broadcast_shapes(np.shape(c_x1), c_x2.shape, c_x3.shape)
+        esc = np.add(c_x1, c_x2, out=ws.row(k, shape))
+        esc = np.add(esc, c_x3, out=esc)
         if isinstance(c_x1, np.ndarray):
-            mean_x1, m2_x1 = _mean_m2(c_x1, dev, n, rows)
+            mean_x1, m2_x1, _ = _moments(c_x1, n, ws, 2)
         else:
             # the baseline's c_x1 is 0 on every trial
             mean_x1, m2_x1 = c_x1, 0.0
-        # c_x1 is esc's own row or a scalar, so esc_total replaces it in place
-        np.add(c_x1, c_x2, out=esc)
-        np.add(esc, c_x3, out=esc)
-        mean_x3, m2_x3 = _mean_m2(c_x3, dev, n, rows)
-        mean_esc = _sum(esc, rows) / n
-        np.subtract(esc, mean_esc[:, None] if rows else mean_esc, out=esc)
-        coms.append(_sum(np.multiply(esc, dev_p, out=dev), rows))
-        m2_esc = _sum(np.square(esc, out=esc), rows)
-        means.append([mean_x1, mean_x2, mean_x3, mean_esc, mean_p])
-        m2.append([m2_x1, m2_x2, m2_x3, m2_esc, m2_p])
+        mean_x3, m2_x3, _ = _moments(c_x3, n, ws, 3)
+        mean_esc, m2_esc, dev_esc = _moments(esc, n, ws, k, 3)
+        com = _sum(np.multiply(dev_esc, dev_p, out=dev_esc))
+        reduced[protocol] = (
+            [mean_x1, mean_x2, mean_x3, mean_esc, mean_p],
+            [m2_x1, m2_x2, m2_x3, m2_esc, m2_p],
+            [com],
+            counts,
+        )
+    means, m2, coms, counts = zip(*map(reduced.get, tile.protocols))
     stats = (
         _table(means, points),
         _table(m2, points),
-        np.stack(coms, axis=-1).reshape(-1) if rows else np.array(coms),
+        _table(coms, points)[:, 0],
         _table(counts, points, np.int64),
     )
-    return cells, stats
+    return points * n, stats

@@ -11,10 +11,12 @@ import numpy as np
 
 _SH11 = np.uint64(11)
 _INV53 = 1.0 / float(1 << 53)
-# blocks per random_raw call: their words take 256 KiB, so a whole chunk's
+# blocks per random_raw call: their words take 128 KiB, so a whole chunk's
 # words never sit in memory at once (one call for all 32768 blocks of a
-# chunk raised the peak RSS of a 2-thread run by 0.8 to 3.3 MB)
-_WORD_BLOCKS = 8192
+# chunk raised the peak RSS of a 2-thread run by 0.8 to 3.3 MB), and the
+# allocator hands the same memory back from one call to the next, where
+# 256 KiB steps were returned to the system and faulted in again
+_WORD_BLOCKS = 4096
 
 
 def uniform_lanes(seed: int, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -22,7 +24,7 @@ def uniform_lanes(seed: int, start: int, stop: int, out: np.ndarray | None = Non
 
     Block b is numpy's Philox4x64-10 run with key (seed, 0) and counter b.
     Lane-major, shape (3, n): row k holds word k of every block; word 3 is
-    not used. Each lane is scaled from the words straight into its row of
+    not used. The three lanes are scaled from the words straight into
     `out` (a new array if None), which is returned; the generator runs on
     in steps of _WORD_BLOCKS blocks, which does not change the stream. Uses
     the top 53 bits of each word, so every value is exactly representable
@@ -43,7 +45,7 @@ def uniform_lanes(seed: int, start: int, stop: int, out: np.ndarray | None = Non
         hi = min(lo + _WORD_BLOCKS, n)
         words = gen.random_raw(4 * (hi - lo))
         np.right_shift(words, _SH11, out=words)
-        for lane, row in enumerate(out):
-            # the 53-bit words convert to double exactly, and the scale is a power of 2
-            np.multiply(words[lane::4], _INV53, out=row[lo:hi])
+        # one pass for the three lanes; the 53-bit words convert to double
+        # exactly, and the scale is a power of 2
+        np.multiply(words.reshape(-1, 4)[:, :3].T, _INV53, out=out[:, lo:hi])
     return out

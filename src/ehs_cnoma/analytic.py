@@ -7,17 +7,27 @@ must agree within statistical error. APPROXIMATE forms model the
 diversity-combined SINR with a single heuristic exponential tail; they are
 evaluated exactly as defined here and their gap to simulation is reported,
 never asserted away.
+
+Every form takes one point, as SystemParams and ChannelVariances, or the
+arrays over many points that columns() gives in their place, with the
+same bits per point (see specfun.elementwise); with arrays, one point
+that has no value raises for all.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from enum import Enum, unique
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import NamedTuple
+
+import numpy as np
 
 from .model import ChannelVariances, SystemParams
 from .protocols import Protocol, Thresholds, harvest_factor, thresholds
-from .specfun import neg_ei_exp
+from .specfun import elementwise, neg_ei_exp
 
 _LN2 = math.log(2.0)
 
@@ -33,11 +43,24 @@ class AnalyticReport(NamedTuple):
     exactness: Exactness
 
 
-def _capacity_term(prelog: float, scale: float) -> float:
-    # E[prelog * log2(1+X)] for X exponential with mean `scale`
-    if scale == 0.0:
-        return 0.0
-    return prelog / _LN2 * neg_ei_exp(scale)
+def columns(objects) -> SimpleNamespace:
+    """The fields of a list of SystemParams or ChannelVariances as arrays over the list."""
+    names = [field.name for field in fields(objects[0])]
+    table = np.array(list(map(attrgetter(*names), objects)), dtype=np.float64)
+    return SimpleNamespace(**dict(zip(names, table.reshape(-1, len(names)).T.copy())))
+
+
+def _neg_ei_exp_or_zero(u):
+    # neg_ei_exp(u), with its u -> 0+ limit 0 where u is 0
+    if isinstance(u, np.ndarray):
+        return np.where(u == 0.0, 0.0, neg_ei_exp(np.where(u == 0.0, 1.0, u)))
+    return 0.0 if u == 0.0 else neg_ei_exp(u)
+
+
+def _capacity_term(prelog, scale):
+    # E[prelog * log2(1+X)] for X exponential with mean `scale`; the prelog
+    # is positive, so a zero scale gives the float 0 of the limit
+    return prelog / _LN2 * _neg_ei_exp_or_zero(scale)
 
 
 def ergodic_c_x1(params: SystemParams, varz: ChannelVariances) -> float:
@@ -64,10 +87,11 @@ def ergodic_c_x3(params: SystemParams, varz: ChannelVariances) -> float:
     r = params.eta * params.rho * varz.lambda_ceu * harvest_factor(params)
     z = params.p_n / params.p_f
     prelog = (1.0 - params.alpha) / 2.0
-    relay_part = 0.0 if r == 0.0 else neg_ei_exp(r) * (1.0 + z)
+    relay_part = _neg_ei_exp_or_zero(r) * (1.0 + z)
     return prelog / _LN2 * (relay_part + neg_ei_exp(varz.lambda_relay))
 
 
+@elementwise
 def _exp_neg_ratio(num: float, den: float) -> float:
     # exp(-num/den) with the den -> 0+ limit folded in
     if den == 0.0:
@@ -133,12 +157,17 @@ def _undefined_ee(params: SystemParams, varz: ChannelVariances, mean_p_relay: fl
 
 def energy_efficiency(params: SystemParams, varz: ChannelVariances, esc: float) -> float:
     """Ergodic sum capacity per unit of mean relay power (ratio of means)."""
-    if esc < 0.0:
+    if np.any(esc < 0.0):
         raise ValueError(f"esc must be >= 0, got {esc}")
     denom = mean_relay_power(params, varz)
-    if denom == 0.0 or not math.isfinite(esc / denom):
+    # a zero or subnormal mean relay power leaves no finite ratio: the error below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ee = np.divide(esc, denom)
+    if not np.isfinite(ee).all():
+        if np.ndim(ee):
+            raise ValueError("energy efficiency undefined at one or more points")
         raise _undefined_ee(params, varz, denom)
-    return esc / denom
+    return ee
 
 
 def closed_forms(

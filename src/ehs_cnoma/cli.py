@@ -9,6 +9,8 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from . import analytic, model, montecarlo
 from .model import SystemParams
 from .montecarlo import EstimatorConfig
@@ -204,26 +206,46 @@ def run_sweep(
             base_error = exc
     call = montecarlo.estimate_metrics(points + base, cfg, workers=workers)
     estimates = call.rows
-    layouts = [(p, p.value, _row_layout(spec, p)) for p in spec.protocols]
+    params_columns = analytic.columns([p for _, p, _ in grid_points])
+    varz_columns = analytic.columns([v for _, _, v in grid_points])
+    size = len(grid_points)
+    layouts, forms = [], None
+    try:
+        # the closed forms run once, on arrays over the grid; an overflow
+        # leaves a value that is not finite, which a form raises on
+        with np.errstate(all="ignore"):
+            for protocol in spec.protocols:
+                forms = analytic.closed_forms(params_columns, varz_columns, protocol, forms)
+                # each row's metric, symbol, estimate column and closed form at every point
+                layout = [
+                    (metric, symbol, col, [None] * size if metric_id not in forms
+                     else np.broadcast_to(forms[metric_id].value, size).tolist())
+                    for metric_id, metric, symbol, col in _row_layout(spec, protocol)
+                ]
+                layouts.append((protocol.value, layout))
+    except ValueError:
+        # a point has no closed form: walking the points in row order raises
+        # the first error, an estimate's or a closed form's, as point by point
+        for _, p_point, varz in grid_points:
+            forms = None
+            for protocol in spec.protocols:
+                next(estimates)
+                forms = analytic.closed_forms(p_point, varz, protocol, forms)
+        raise
     variable, trials, seed = spec.variable, cfg.trials, cfg.seed
     # tuple.__new__ fills a row without SweepRow's per-field argument binding
     new_row = tuple.__new__
     rows: list[SweepRow] = []
-    for value, p_point, varz in grid_points:
-        # the protocols of a point share its near-user closed forms
-        forms = None
-        for protocol, name, layout in layouts:
-            # taking the estimates in row order checks each one right before
-            # its closed forms
+    for k, (value, _, _) in enumerate(grid_points):
+        for name, layout in layouts:
+            # taking the estimates in row order raises an estimate's error
+            # in the order a point-by-point run would
             means, std_errors = next(estimates)
-            forms = analytic.closed_forms(p_point, varz, protocol, forms)
-            for metric_id, metric, symbol, col in layout:
-                form = forms.get(metric_id)
-                ana = None if form is None else form.value
+            for metric, symbol, col, closed in layout:
                 rows.append(
                     new_row(
                         SweepRow,
-                        (variable, value, name, metric, symbol, ana, means[col],
+                        (variable, value, name, metric, symbol, closed[k], means[col],
                          std_errors[col], trials, seed),
                     )
                 )

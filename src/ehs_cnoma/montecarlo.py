@@ -1,18 +1,18 @@
 """Deterministic Monte-Carlo estimator with exact worker-count invariance.
 
-Trials are cut into fixed-size chunks. Each chunk is drawn once, into a
-workspace its thread reuses for every chunk, and reduced to counts and
-two-pass moments at every point of the call. The kernel takes the points
-a tile at a time: adjacent points that share a protocol list, up to one
-chunk's worth of (point, trial) cells, in one pass. A chunk's statistics
-are arrays with one row per (point, protocol) of the call, and the
-chunks fold into the call's running total in index order with the exact
-count-weighted update, one array operation for every row at once. The
-total is finished into estimates the same way, once per call. A point's
-result is therefore a pure function of (params, variances, protocol,
-config) no matter how many workers ran the chunks, which other points
-shared the call or where its tile cut the grid, and a thread's workspace
-grows with neither the trial count nor the point count.
+Trials are cut into fixed-size chunks. Each chunk is drawn once, into
+the workspace its thread took from a pool kept between calls, and
+reduced to counts and two-pass moments at every point of the call. The
+kernel takes the points a tile at a time: adjacent points that share a
+protocol list, up to one chunk's worth of (point, trial) cells, in one
+pass. A chunk's statistics are arrays with one row per (point, protocol)
+of the call, and the chunks fold into the call's running total in index
+order with the exact count-weighted update, one array operation for
+every row at once. The total is finished into estimates the same way,
+once per call. A point's result is therefore a pure function of (params,
+variances, protocol, config) no matter how many workers ran the chunks,
+which other points shared the call or where its tile cut the grid, and a
+workspace grows with neither the trial count nor the point count.
 """
 
 from __future__ import annotations
@@ -107,19 +107,27 @@ def _point_groups(points):
     return groups
 
 
-def _run_chunk(plans, cfg, local, lo, hi):
+# workspaces kept from one call to the next, at most one per CPU, so a
+# workspace's memory is touched once per process
+_POOL: list[_kernels.Workspace] = []
+_POOL_LOCK = threading.Lock()
+
+
+def _run_chunk(plans, cfg, held, lo, hi):
     """Statistics of every point on trials [lo, hi), drawn once into this thread's workspace.
 
-    plans maps a chunk length to its tiles (see _chunk_parts). Returns
+    plans maps a chunk length to its tiles (see _chunk_parts), and held maps
+    each thread of the call to the workspace it took from the pool for all
+    its chunks, so that memory stays in that thread's core's cache. Returns
     (n, means, m2, co-moment, counts) with one row per (point, protocol),
     in call order (see _kernels.accumulate_chunk).
     """
     n = hi - lo
-    ws = getattr(local, "ws", None)
+    ws = held.get(threading.get_ident())
     if ws is None:
-        # room for one chunk's draws and for the cells of the largest tile
-        cells = max((t.points * m for m, tiles in plans.items() for t in tiles), default=0)
-        ws = local.ws = _kernels.Workspace(min(CHUNK_TRIALS, cfg.trials), cells)
+        with _POOL_LOCK:
+            ws = held[threading.get_ident()] = _POOL.pop() if _POOL else _kernels.Workspace()
+    ws.fit(n)
     # an overflow leaves a non-finite moment, which _finish reports as one
     # error rather than as a stream of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -144,23 +152,28 @@ def _chunk_parts(points, cfg, workers):
     lengths = {min(CHUNK_TRIALS, cfg.trials - lo) for lo in (starts[0], starts[-1])}
     plans = {n: _kernels.tiles(groups, max(1, CHUNK_TRIALS // n)) for n in lengths}
     threads = min(workers, os.cpu_count() or 1, len(starts))
-    # one workspace per thread, freed with this call
-    local = threading.local()
+    held = {}
 
     def run(lo):
-        return _run_chunk(plans, cfg, local, lo, min(lo + CHUNK_TRIALS, cfg.trials))
+        return _run_chunk(plans, cfg, held, lo, min(lo + CHUNK_TRIALS, cfg.trials))
 
-    if threads <= 1:
-        yield from map(run, starts)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque()
-        for lo in starts:
-            pending.append(pool.submit(run, lo))
-            if len(pending) == 2 * threads:
+    try:
+        if threads <= 1:
+            yield from map(run, starts)
+            return
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            pending = deque()
+            for lo in starts:
+                pending.append(pool.submit(run, lo))
+                if len(pending) == 2 * threads:
+                    yield pending.popleft().result()
+            while pending:
                 yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+    finally:
+        # the call's threads are done with their workspaces, which wait for the next call
+        with _POOL_LOCK:
+            _POOL.extend(held.values())
+            del _POOL[os.cpu_count() or 1 :]
 
 
 def _merge(a, b):

@@ -13,8 +13,10 @@ The physics takes gains as floats or as arrays: the simulation kernel
 evaluates a tile of grid points over a chunk of trials through the same
 functions that a caller runs on one trial's float gains, with each
 per-point value that varies in the tile as a (points, 1) column that
-broadcasts over the trials. With arrays, the optional `out` rows receive
-the capacities and the relay power, so the kernel keeps them with no copy.
+broadcasts over the trials. Given a workspace (see _kernels.Workspace),
+every array a step makes lands in one of the workspace rows that the
+step names, through `out`, so a tile allocates no array that grows with
+its cells; without one each ufunc allocates.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from enum import Enum, unique
 import numpy as np
 
 from .model import SystemParams
+from .specfun import elementwise
 
 
 @unique
@@ -58,18 +61,32 @@ def decode_threshold(rate: float, alpha: float) -> float:
         ) from None
 
 
+_decode_each = elementwise(decode_threshold)
+
+
 def thresholds(params: SystemParams) -> Thresholds:
-    """Decode thresholds for the three target rates at the given alpha."""
+    """Decode thresholds for the three target rates at the given alpha, or at arrays of them."""
+    # the wrapper's check for arrays would double the cost of a float point's thresholds
+    decode = _decode_each if isinstance(params.alpha, np.ndarray) else decode_threshold
     return Thresholds(
-        psi_r1=decode_threshold(params.r1, params.alpha),
-        psi_r2=decode_threshold(params.r2, params.alpha),
-        psi_r3=decode_threshold(params.r3, params.alpha),
+        psi_r1=decode(params.r1, params.alpha),
+        psi_r2=decode(params.r2, params.alpha),
+        psi_r3=decode(params.r3, params.alpha),
     )
 
 
 def harvest_factor(params: SystemParams) -> float:
     """2*alpha/(1-alpha) + delta, shared by the relay power and the closed forms."""
     return 2.0 * params.alpha / (1.0 - params.alpha) + params.delta
+
+
+def _cells(ws, reads, rows, flags=()):
+    # a step's numbered workspace rows and flags, viewed to the broadcast
+    # shape of what it reads; with no workspace, Nones: each ufunc allocates
+    if ws is None:
+        return [None] * len(rows), [None] * len(flags)
+    shape = np.broadcast(*[x for x in reads if isinstance(x, np.ndarray)]).shape
+    return ws.cells(shape, rows, flags)
 
 
 def relay_power(params: SystemParams, g_ccu, out=None):
@@ -92,43 +109,53 @@ def _half_slot_capacity(params: SystemParams, snr_plus_1, out=None):
     return np.multiply((1.0 - params.alpha) / 2.0, np.log2(snr_plus_1, out=out), out=out)
 
 
-def near_user(params: SystemParams, thr: Thresholds, g_ccu, out=None):
+def near_user(params: SystemParams, thr: Thresholds, g_ccu, ws=None):
     """The near user's part, which both protocols share: (c_x2, out_x2, decoded_x3, p_relay).
 
     SIC ordering: the near user must clear x3 before x2 counts. The
     power-splitting factor scales signal and noise alike in the near-user
     observations, so it cancels from both SINRs. The harvest funds the
     relay power. Equality with a threshold decodes (>= convention). The
-    gain may be a float or an array and is not checked here. `out`, if
-    given, is a pair of rows that receive c_x2 and p_relay.
+    gain may be a float or an array and is not checked here. Given a
+    workspace ws (see _kernels.Workspace), c_x2 and p_relay land in its
+    rows 0 and 1, row 2 is scratch, and decoded_x3 and out_x2 land in its
+    flags 0 and 1.
     """
-    out_c_x2, out_p_relay = (None, None) if out is None else out
-    rg_ccu = params.rho * g_ccu
-    snr_x2 = params.p_n * rg_ccu
+    reads = (g_ccu, params.rho, params.p_n, params.p_f, params.alpha, params.eta, params.delta)
+    row, flag = _cells(ws, (*reads, thr.psi_r2, thr.psi_r3), (0, 1, 2), (0, 1))
+    rg_ccu = np.multiply(params.rho, g_ccu, out=row[2])
+    snr_x2 = np.multiply(params.p_n, rg_ccu, out=row[0])
+    signal = np.multiply(params.p_f, rg_ccu, out=row[2])
+    # ufuncs rather than `>=`, `&` and `~`, so `~` is a logical not on float inputs too
+    cleared_x2 = np.greater_equal(snr_x2, thr.psi_r2, out=flag[1])
     # 1 + snr_x2 is both the x3 SINR's interference-plus-noise and the x2 capacity's argument
-    snr_x2_plus_1 = snr_x2 + 1.0
-    sinr_x3 = params.p_f * rg_ccu / snr_x2_plus_1
-    # ufuncs rather than `>=`, so `~` is a logical not on float inputs too
-    decoded_x3 = np.greater_equal(sinr_x3, thr.psi_r3)
-    out_x2 = ~(decoded_x3 & np.greater_equal(snr_x2, thr.psi_r2))
-    c_x2 = _half_slot_capacity(params, snr_x2_plus_1, out=out_c_x2)
-    return c_x2, out_x2, decoded_x3, relay_power(params, g_ccu, out=out_p_relay)
+    snr_x2_plus_1 = np.add(snr_x2, 1.0, out=row[0])
+    sinr_x3 = np.divide(signal, snr_x2_plus_1, out=row[2])
+    decoded_x3 = np.greater_equal(sinr_x3, thr.psi_r3, out=flag[0])
+    out_x2 = np.invert(np.bitwise_and(decoded_x3, cleared_x2, out=flag[1]), out=flag[1])
+    c_x2 = _half_slot_capacity(params, snr_x2_plus_1, out=row[0])
+    return c_x2, out_x2, decoded_x3, relay_power(params, g_ccu, out=row[1])
 
 
-def far_links(params: SystemParams, g_ceu, g_relay, p_relay):
+def far_links(params: SystemParams, g_ceu, g_relay, p_relay, ws=None):
     """The far user's protocol-free link terms: (rho*g_ceu, direct x3 SINR, relayed x3 SNR).
 
     Both protocols combine the same two copies of x3, so these are formed
     once per trial whatever protocols far_user then runs. The gains may be
-    floats or arrays and are not checked here.
+    floats or arrays and are not checked here. Given a workspace ws, the
+    terms land in its rows 4, 5 and 6.
     """
-    rg_ceu = params.rho * g_ceu
-    sinr_x3_direct = params.p_f * rg_ceu / (params.p_n * rg_ceu + 1.0)
-    return rg_ceu, sinr_x3_direct, p_relay * g_relay
+    (row, _) = _cells(ws, (g_ceu, params.rho, params.p_n, params.p_f), (4, 5, 6))
+    rg_ceu = np.multiply(params.rho, g_ceu, out=row[0])
+    noise = np.add(np.multiply(params.p_n, rg_ceu, out=row[1]), 1.0, out=row[1])
+    signal = np.multiply(params.p_f, rg_ceu, out=row[2])
+    sinr_x3_direct = np.divide(signal, noise, out=row[1])
+    (row, _) = _cells(ws, (p_relay, g_relay), (6,))
+    return rg_ceu, sinr_x3_direct, np.multiply(p_relay, g_relay, out=row[0])
 
 
 def far_user(
-    params: SystemParams, thr: Thresholds, protocol: Protocol, links, decoded_x3, out=None
+    params: SystemParams, thr: Thresholds, protocol: Protocol, links, decoded_x3, ws=None
 ):
     """The far user's part, the only one that differs by protocol: (c_x1, c_x3, out_x1, out_x3).
 
@@ -138,21 +165,26 @@ def far_user(
     baseline leaves that link idle, so x1 is always in outage, and
     selection-combines. A failed x3 decode at the near user (decoded_x3
     false) marks the far user's x3 as lost even when the direct link alone
-    clears the threshold. `out`, if given, is a pair of rows that receive
-    c_x1 and c_x3; the baseline's c_x1 is the float 0 and is not written.
+    clears the threshold. The baseline's c_x1 is the float 0 and its
+    out_x1 True. Given a workspace ws, c_x1 and c_x3 land in its rows 2
+    and 3, out_x1 and out_x3 in its flags 1 and 2.
     """
-    out_c_x1, out_c_x3 = (None, None) if out is None else out
     rg_ceu, sinr_x3_direct, snr_x3_relay = links
     if protocol is Protocol.EHS_MRC:
-        snr_x1 = rg_ceu * params.p_total
-        out_x1 = snr_x1 < thr.psi_r1
-        snr_x1_plus_1 = np.add(1.0, snr_x1, out=out_c_x1)
-        c_x1 = np.multiply(params.alpha, np.log2(snr_x1_plus_1, out=out_c_x1), out=out_c_x1)
-        snr_x3 = np.add(sinr_x3_direct, snr_x3_relay, out=out_c_x3)
+        row, flag = _cells(ws, (rg_ceu, params.p_total, params.alpha, thr.psi_r1), (2,), (1,))
+        snr_x1 = np.multiply(rg_ceu, params.p_total, out=row[0])
+        out_x1 = np.less(snr_x1, thr.psi_r1, out=flag[0])
+        snr_x1_plus_1 = np.add(1.0, snr_x1, out=row[0])
+        c_x1 = np.multiply(params.alpha, np.log2(snr_x1_plus_1, out=row[0]), out=row[0])
+        combine = np.add
     else:
         c_x1 = 0.0
         out_x1 = True  # x1 is never transmitted
-        snr_x3 = np.maximum(sinr_x3_direct, snr_x3_relay, out=out_c_x3)
-    out_x3 = ~(decoded_x3 & np.greater_equal(snr_x3, thr.psi_r3))
-    c_x3 = _half_slot_capacity(params, np.add(1.0, snr_x3, out=out_c_x3), out=out_c_x3)
+        combine = np.maximum
+    reads = (sinr_x3_direct, snr_x3_relay, decoded_x3, params.alpha, thr.psi_r3)
+    row, flag = _cells(ws, reads, (3,), (2,))
+    snr_x3 = combine(sinr_x3_direct, snr_x3_relay, out=row[0])
+    cleared_x3 = np.greater_equal(snr_x3, thr.psi_r3, out=flag[0])
+    out_x3 = np.invert(np.bitwise_and(decoded_x3, cleared_x3, out=flag[0]), out=flag[0])
+    c_x3 = _half_slot_capacity(params, np.add(1.0, snr_x3, out=row[0]), out=row[0])
     return c_x1, c_x3, out_x1, out_x3

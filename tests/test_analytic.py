@@ -314,3 +314,69 @@ class TestClosedForms:
         forms = analytic.closed_forms(params, varz, Protocol.HS_SC, near)
         assert forms == {"c_x2": near["c_x2"], "op_x2_ccu": near["op_x2_ccu"]}
         assert derived == []
+
+
+def db_grid(snr_dbs, **overrides):
+    # rho from dB as the command line derives it
+    return [{"rho": 10.0 ** (snr_db / 10.0), **overrides} for snr_db in snr_dbs]
+
+
+# grids over SNR, alpha and d1, and points at snr_db = -3200 where products
+# of rho underflow to 0: r == 0 in ergodic_c_x3, a zero scale in the
+# capacities and den == 0 in the outages (the d1 grid with v = 1050, d2 = 2)
+ARRAY_GRIDS = {
+    "snr": db_grid(np.arange(-10.0, 40.5, 2.5)),
+    "alpha": db_grid([15.0], alpha=0.05) + [
+        {"rho": 10.0 ** 1.5, "alpha": alpha} for alpha in np.arange(0.1, 0.95, 0.05)
+    ],
+    "d1": [{"rho": 10.0 ** 1.5, "d1": d1} for d1 in np.arange(0.01, 0.99, 0.02)],
+    "snr-3200": db_grid([-3200.0]) + [
+        {"rho": 10.0 ** -320.0, "v": 1050.0, "d2": 2.0, "d1": d1} for d1 in (1.0, 1.1, 1.2)
+    ],
+}
+
+
+class TestArrayForms:
+    @pytest.mark.parametrize("grid", ARRAY_GRIDS)
+    def test_arrays_over_points_match_each_point_bit_for_bit(self, grid):
+        params = [model.SystemParams(**kwargs) for kwargs in ARRAY_GRIDS[grid]]
+        varz = [model.variances_from_distances(p) for p in params]
+        columns = analytic.columns(params), analytic.columns(varz)
+        if grid == "snr-3200":
+            assert any(p.rho * v.lambda_ceu == 0.0 for p, v in zip(params, varz))
+
+        def same_bits(array, values):
+            assert np.asarray(array).tobytes() == np.array(values, dtype=np.float64).tobytes()
+
+        for name in ("ergodic_c_x1", "ergodic_c_x2", "ergodic_c_x3", "mean_relay_power"):
+            form = getattr(analytic, name)
+            same_bits(form(*columns), [form(p, v) for p, v in zip(params, varz)])
+        for name in ("op_ccu", "op_ceu_x1", "op_ceu_x3"):
+            form = getattr(analytic, name)
+            expected = [form(p, v, thresholds(p)) for p, v in zip(params, varz)]
+            same_bits(form(*columns, thresholds(columns[0])), expected)
+        for order in (list(Protocol), list(reversed(Protocol)), [Protocol.HS_SC]):
+            tables, errors = [], []
+            for p, v in zip(params, varz):
+                near, point = None, []
+                try:
+                    for protocol in order:
+                        near = analytic.closed_forms(p, v, protocol, near)
+                        point.append(near)
+                except ValueError as exc:
+                    errors.append(exc)
+                tables.append(point)
+            if errors:
+                # a point with no value fails the whole array pass
+                with pytest.raises(ValueError):
+                    near = None
+                    for protocol in order:
+                        near = analytic.closed_forms(*columns, protocol, near)
+                continue
+            near = None
+            for j, protocol in enumerate(order):
+                near = analytic.closed_forms(*columns, protocol, near)
+                assert list(near) == list(tables[0][j])
+                for metric, form in near.items():
+                    assert form.exactness == tables[0][j][metric].exactness
+                    same_bits(form.value, [point[j][metric].value for point in tables])

@@ -7,7 +7,15 @@ from numpy.random import Generator, Philox
 
 from ehs_cnoma import _philox, model
 from ehs_cnoma._philox import uniform_lanes
+from ehs_cnoma.montecarlo import CHUNK_TRIALS, EstimatorConfig, estimate_metrics
+from ehs_cnoma.protocols import Protocol
 from oracles import ks_statistic_exponential, philox4x64_10
+
+
+def raw_lanes(seed, start, n):
+    """Lanes 0-2 of blocks [start, start + n) from the words of one random_raw call."""
+    words = Philox(key=seed, counter=(start - 1) % 2 ** 256).random_raw(4 * n).reshape(n, 4)
+    return ((words[:, :3] >> np.uint64(11)) * 2.0 ** -53).T
 
 
 def make_params(**overrides):
@@ -121,6 +129,32 @@ class TestCounterStream:
         words = Philox(key=42, counter=start - 1).random_raw(4 * n).reshape(n, 4)
         ref = (words[:, :3] >> np.uint64(11)) * 2.0 ** -53
         assert np.array_equal(uniform_lanes(42, start, start + n), ref.T)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, 98765, 2 ** 63 + 12345])
+    def test_lanes_equal_one_random_raw_stream(self, seed):
+        # the generator's doubles, a step at a time, against the words of one
+        # random_raw call: from block 0 (the counter wraps from 2^256 - 1),
+        # across the steps, and from just before a step's end
+        step = _philox._WORD_BLOCKS
+        for start, n in ((0, 3), (0, 2 * step + 17), (step - 3, 10), (3 * step + 1, step)):
+            assert np.array_equal(uniform_lanes(seed, start, start + n), raw_lanes(seed, start, n))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_estimates_equal_those_from_random_raw_words(self, workers, monkeypatch):
+        # a call whose chunks are drawn from random_raw words gives the same
+        # estimates, at 1 and 2 workers
+        params = model.SystemParams(rho=10.0 ** 1.5)
+        varz = model.variances_from_distances(params)
+        points = [(params, varz, protocol) for protocol in Protocol]
+        cfg = EstimatorConfig(trials=2 * CHUNK_TRIALS + 4099, seed=2 ** 64 - 5)
+        expected = list(estimate_metrics(points, cfg, workers=workers).rows)
+
+        def from_raw(seed, start, stop, out=None):
+            out[...] = raw_lanes(seed, start, stop - start)
+            return out
+
+        monkeypatch.setattr(_philox, "uniform_lanes", from_raw)
+        assert list(estimate_metrics(points, cfg, workers=workers).rows) == expected
 
     def test_uniform_range(self):
         u = uniform_lanes(7, 0, 4096)

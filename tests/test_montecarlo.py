@@ -1,4 +1,5 @@
 import math
+import operator
 import sys
 import threading
 import tracemalloc
@@ -31,7 +32,7 @@ def chunk(params, varz, cfg, lo, hi, protocol=Protocol.EHS_MRC):
     """A one-point call's chunk statistics: (n, means, m2, com, counts) with one row."""
     points = [(params, varz, protocol)]
     plans = {hi - lo: _kernels.tiles(montecarlo._point_groups(points), 1)}
-    return montecarlo._run_chunk(plans, cfg, threading.local(), lo, hi)
+    return montecarlo._run_chunk(plans, cfg, {}, lo, hi)
 
 
 def first_row(total):
@@ -40,11 +41,17 @@ def first_row(total):
 
 
 def nan_workspace():
-    # a workspace of a full chunk whose every cell holds NaN, so a read of a
-    # cell the kernel did not write shows
-    ws = _kernels.Workspace(CHUNK_TRIALS, CHUNK_TRIALS)
-    for arr in (ws.draws, ws.shared, ws.far, ws.scratch):
-        arr.fill(np.nan)
+    # a workspace whose every float cell holds NaN (and every flag True),
+    # its rows made at the size of a full chunk so that no tile makes more,
+    # so a read of a cell the kernel did not write shows
+    ws = _kernels.Workspace()
+    ws.fit(CHUNK_TRIALS)
+    ws.cells((CHUNK_TRIALS,), range(7), range(3))
+    ws.draws.fill(np.nan)
+    for row in ws.rows:
+        row.fill(np.nan)
+    for flag in ws.flags:
+        flag.fill(True)
     return ws
 
 
@@ -55,8 +62,11 @@ def run_tiles(points, n, seed=42):
     model.sample_gains(seed, 0, n, out=ws.draws[:, :n])
     entries = []
     for tile in tiles:
+        rows = [*ws.rows, *ws.flags]
         cells, stats = _kernels.accumulate_chunk(tile, ws, n)
         assert cells == tile.points * n
+        # the tile made no row, so it read none that does not hold NaN
+        assert all(map(operator.is_, rows, [*ws.rows, *ws.flags]))
         assert [len(column) for column in stats] == [tile.points * len(tile.protocols)] * 4
         entries.extend(zip(*stats))
     return tiles, entries
@@ -643,6 +653,8 @@ class TestChunkScheduling:
         one = [(*setup_point(), Protocol.EHS_MRC)]
         for points, trials in ((dense, 1000), (one, 10 ** 5)):
             threads = min(workers, -(-trials // CHUNK_TRIALS))
+            # an empty pool, so the call makes and counts its workspaces
+            monkeypatch.setattr(montecarlo, "_POOL", [])
             tracemalloc.start()
             try:
                 estimates = list(estimate_metrics(points, make_cfg(trials=trials), workers=workers))
@@ -651,6 +663,70 @@ class TestChunkScheduling:
                 tracemalloc.stop()
             assert len(estimates) == len(points)
             assert peak < 14 * row_bytes * threads
+
+    @pytest.mark.skipif(
+        sys.platform != "linux", reason="counts minor page faults as Linux reports them"
+    )
+    def test_repeated_call_takes_few_page_faults(self):
+        # workspaces outlive the call and a chunk allocates nothing that grows
+        # with its trials or cells, so a repeated call touches little fresh
+        # memory; a tile's temporaries alone, one 250 KiB array each, would
+        # fault in far more pages than the bound allows
+        import resource
+
+        dense = [
+            (*setup_point(d1=0.01 + 0.002 * k), protocol)
+            for k in range(491)
+            for protocol in Protocol
+        ]
+        one = [(*setup_point(), Protocol.EHS_MRC)]
+        for points, trials in ((dense, 1000), (one, 10 ** 5)):
+            cfg = make_cfg(trials=trials)
+            list(estimate_metrics(points, cfg).rows)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            list(estimate_metrics(points, cfg).rows)
+            assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500, trials
+
+    def test_pool_keeps_one_workspace_per_cpu_between_calls(self, monkeypatch):
+        # however many workers a call asks for, it leaves at most one workspace
+        # per CPU in the pool, and the next call borrows those same workspaces
+        monkeypatch.setattr(montecarlo, "_POOL", [])
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        params, varz = setup_point()
+        cfg = make_cfg(trials=6 * CHUNK_TRIALS)
+        first = estimate(params, varz, cfg, Protocol.EHS_MRC, workers=5000)
+        kept = list(montecarlo._POOL)
+        assert 1 <= len(kept) <= 2
+        assert estimate(params, varz, cfg, Protocol.EHS_MRC, workers=5000) == first
+        assert len(montecarlo._POOL) <= 2
+        assert {id(ws) for ws in montecarlo._POOL} <= {id(ws) for ws in kept}
+
+    def test_concurrent_calls_share_the_pool(self):
+        # calls from several threads at once, each with more workers than
+        # CPUs and a short switch interval, borrow and return workspaces under
+        # the pool's lock: each gets the serial bits, and the pool keeps at
+        # most one workspace per CPU
+        params, varz = setup_point()
+        cfg = make_cfg(trials=4 * CHUNK_TRIALS + 7)
+        serial = estimate(params, varz, cfg, Protocol.EHS_MRC)
+        results = []
+
+        def call():
+            results.append(estimate(params, varz, cfg, Protocol.EHS_MRC, workers=8))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [serial] * 4
+        assert len(montecarlo._POOL) <= (montecarlo.os.cpu_count() or 1)
 
     def test_worker_threads_capped(self, monkeypatch):
         pools = []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ehs_cnoma import analytic
+from ehs_cnoma import _kernels, analytic
 from ehs_cnoma.model import SystemParams, variances_from_distances
 from ehs_cnoma.protocols import (
     Protocol,
@@ -200,7 +200,7 @@ class TestOutage:
 class TestStepForms:
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_out_rows_arrays_and_floats_agree(self, protocol):
-        # each step on a block of trials, with and without out rows, and on
+        # each step on a block of trials, with and without a workspace, and on
         # each trial's float gains gives the same bits; trial 0 sits on every
         # threshold (rho = 10 at gains (1, 1, 0.5), as in TestOutage)
         params = make_params(rho=10.0)
@@ -210,26 +210,38 @@ class TestStepForms:
         g_ccu, g_ceu, g_relay = gains
 
         near = near_user(params, thr, g_ccu)
-        near_rows = np.full((2, 64), np.nan)
-        near_out = near_user(params, thr, g_ccu, out=near_rows)
         links = far_links(params, g_ceu, g_relay, near[3])
         far = far_user(params, thr, protocol, links, near[2])
-        far_rows = np.full((2, 64), np.nan)
-        far_out = far_user(params, thr, protocol, links, near[2], out=far_rows)
-
-        for plain, written in zip(near, near_out):
-            assert np.asarray(written).tobytes() == np.asarray(plain).tobytes()
-        for plain, written in zip(far, far_out):
-            assert np.asarray(written).tobytes() == np.asarray(plain).tobytes()
-        # the rows hold the capacities and the relay power
-        assert near_rows.tobytes() == np.stack([near[0], near[3]]).tobytes()
-        assert far_rows[1].tobytes() == far[1].tobytes()
+        # a workspace whose rows hold NaN, and flags True, until a step
+        # writes them; each step's results land in the rows its docstring names
+        ws = _kernels.Workspace()
+        rows, flags = ws.cells((64,), range(7), range(3))
+        for row in rows:
+            row.fill(np.nan)
+        for flag in flags:
+            flag.fill(True)
+        near_out = near_user(params, thr, g_ccu, ws)
+        links_out = far_links(params, g_ceu, g_relay, near_out[3], ws)
+        held = [
+            (near_out[0], rows[0]), (near_out[3], rows[1]), (near_out[2], flags[0]),
+            (near_out[1], flags[1]), *zip(links_out, rows[4:]),
+        ]
+        # out_x2 is counted before far_user takes its flag for out_x1
+        near_bits = [np.asarray(value).tobytes() for value in near_out]
+        far_out = far_user(params, thr, protocol, links_out, near_out[2], ws)
+        held += [(far_out[1], rows[3]), (far_out[3], flags[2])]
         if protocol is Protocol.EHS_MRC:
-            assert far_rows[0].tobytes() == far[0].tobytes()
+            held += [(far_out[0], rows[2]), (far_out[2], flags[1])]
         else:
-            # the baseline's c_x1 is the float 0 and leaves its row alone
+            # the baseline's c_x1 is the float 0 and its x1 always out
             assert far[0] == 0.0 and far[2] is True
-            assert np.isnan(far_rows[0]).all()
+            assert flags[1].tobytes() == near_bits[1]
+
+        assert near_bits == [np.asarray(value).tobytes() for value in near]
+        for plain, written in zip((*links, *far), (*links_out, *far_out)):
+            assert np.asarray(written).tobytes() == np.asarray(plain).tobytes()
+        for value, row in held:
+            assert np.shares_memory(value, row)
 
         for i in range(64):
             one_near = near_user(params, thr, float(g_ccu[i]))

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from ehs_cnoma import specfun
 from oracles import ei_series, expected_log1p_exponential
+from oracles import neg_ei_exp as scalar_neg_ei_exp
 
 
 def test_neg_ei_exp_frozen_values():
@@ -46,3 +48,34 @@ def test_neg_ei_exp_consistent_with_ei():
         w = 1.0 / u
         direct = -ei_series(-w) * math.exp(w)
         assert specfun.neg_ei_exp(u) == pytest.approx(direct, rel=1e-12)
+
+
+# 40,000 log-uniform arguments over [1e-320, 1e300], then the edges: w = 1/u
+# = 6 where the series hands over to the continued fraction, the reciprocal
+# overflow limit 1/DBL_MAX below which u is returned as is, and denormals
+LOG_UNIFORM = np.exp(np.random.default_rng(26).uniform(math.log(1e-320), math.log(1e300), 40_000))
+CUTOFF, OVERFLOW = 1.0 / 6.0, 1.0 / sys.float_info.max
+EDGES = [
+    CUTOFF, math.nextafter(CUTOFF, 0.0), math.nextafter(CUTOFF, 1.0),
+    OVERFLOW, math.nextafter(OVERFLOW, 0.0), math.nextafter(OVERFLOW, 1.0),
+    5e-324, 1e-310, sys.float_info.min, 1e300, 1.0,
+]
+
+
+def test_neg_ei_exp_arrays_match_the_scalar_form_bit_for_bit():
+    # every element of an array, and every float, gets the bits of the
+    # scalar evaluation the array one replaced
+    u = np.concatenate([LOG_UNIFORM, EDGES])
+    assert 1.0 / CUTOFF == 6.0
+    values = specfun.neg_ei_exp(u)
+    assert values.tobytes() == np.array([scalar_neg_ei_exp(x) for x in u.tolist()]).tobytes()
+    for x in EDGES:
+        value = specfun.neg_ei_exp(x)
+        assert type(value) is float and value == scalar_neg_ei_exp(x)
+    assert specfun.neg_ei_exp(u[:6].reshape(2, 3)).tobytes() == values[:6].tobytes()
+    assert specfun.neg_ei_exp(np.array([])).shape == (0,)
+
+
+def test_neg_ei_exp_array_with_one_bad_element_raises():
+    with pytest.raises(ValueError, match="u must be finite and > 0, got 0.0"):
+        specfun.neg_ei_exp(np.array([1.0, 0.0, math.inf]))
