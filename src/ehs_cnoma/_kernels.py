@@ -29,11 +29,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .protocols import Protocol, Thresholds, far_links, far_user, near_user
+from .protocols import Protocol, Thresholds, far_links, far_user, near_user, thresholds
 
 
 class TileParams(NamedTuple):
-    """The SystemParams fields the protocols.py steps read, as floats or (points, 1) columns."""
+    """The SystemParams fields the steps and thresholds read: floats or (points, 1) columns."""
 
     rho: object
     alpha: object
@@ -42,14 +42,17 @@ class TileParams(NamedTuple):
     p_n: object
     p_f: object
     p_total: object
+    r1: object
+    r2: object
+    r3: object
 
 
 class Tile(NamedTuple):
-    """Consecutive grid points with one protocol list, run by one kernel pass.
+    """Adjacent groups with one protocol list, run by one kernel pass.
 
-    params, thr and lambdas (the ccu, ceu and relay gain variances) hold
-    each value as a float where every point shares it and as a
-    (points, 1) column where it varies.
+    params and lambdas (the ccu, ceu and relay gain variances) hold each
+    value as a float where every point shares it and as a (points, 1)
+    column where it varies; thr, thresholds(params), takes the same form.
     """
 
     points: int
@@ -59,29 +62,33 @@ class Tile(NamedTuple):
     protocols: tuple[Protocol, ...]
 
 
-# the values of a group's params, varz and thresholds that a tile carries
+# the values of a group's params and varz that a tile carries
 _param_values = operator.attrgetter(*TileParams._fields)
 _lambda_values = operator.attrgetter("lambda_ccu", "lambda_ceu", "lambda_relay")
-_thr_values = operator.attrgetter("psi_r1", "psi_r2", "psi_r3")
 
 
-def tiles(groups, max_points: int) -> list[Tile]:
-    """The groups, in order, as tiles of at most max_points points that share a protocol list.
+def tiles(points, max_points: int) -> list[Tile]:
+    """The call's (params, varz, protocol) points as tiles of at most max_points grid points.
 
-    A group is (params, varz, thresholds, protocols), as
-    montecarlo._point_groups builds them.
+    A grid point is a group: adjacent points whose (params, varz) compare
+    equal and whose protocols differ. A tile is a run of adjacent groups
+    with one protocol list, and its thresholds are those of its params.
     """
-    values = np.array(
-        [_param_values(p) + _lambda_values(v) + _thr_values(t) for p, v, t, _ in groups]
-    )
+    groups = []
+    for params, varz, protocol in points:
+        if groups and (params, varz) == groups[-1][0] and protocol not in groups[-1][1]:
+            groups[-1][1].append(protocol)
+        else:
+            groups.append(((params, varz), [protocol]))
+    values = np.array([_param_values(p) + _lambda_values(v) for (p, v), _ in groups])
     bits = values.view(np.int64)
     columns = np.ascontiguousarray(values.T)
     out = []
     lo = 0
     while lo < len(groups):
-        protocols = tuple(groups[lo][3])
+        protocols = tuple(groups[lo][1])
         hi = lo + 1
-        while hi < len(groups) and hi - lo < max_points and tuple(groups[hi][3]) == protocols:
+        while hi < len(groups) and hi - lo < max_points and tuple(groups[hi][1]) == protocols:
             hi += 1
         # a value is shared only if its bits are: 0.0 and -0.0 stay apart
         shared = (bits[lo:hi] == bits[lo]).all(axis=0).tolist()
@@ -89,8 +96,8 @@ def tiles(groups, max_points: int) -> list[Tile]:
         row = [
             first[f] if same else columns[f, lo:hi, None] for f, same in enumerate(shared)
         ]
-        params, lambdas, thr = TileParams(*row[:7]), tuple(row[7:10]), Thresholds(*row[10:])
-        out.append(Tile(hi - lo, params, thr, lambdas, protocols))
+        params = TileParams(*row[:10])
+        out.append(Tile(hi - lo, params, thresholds(params), tuple(row[10:]), protocols))
         lo = hi
     return out
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import _kernels, analytic, model
 from .analytic import AnalyticReport, Exactness
 from .model import ChannelVariances, SystemParams
-from .protocols import Protocol, thresholds
+from .protocols import Protocol
 
 CHUNK_TRIALS = 32768
 
@@ -83,30 +83,6 @@ class ValidationReport:
         return any(row.status == "FAIL" for row in self.rows)
 
 
-def _point_groups(points):
-    """Runs of adjacent points with equal (params, varz) and distinct protocols.
-
-    Each run is (params, varz, thresholds, protocols), and the kernel
-    evaluates it in one pass.
-    """
-    groups = []
-    last_params = last_varz = protocols = None
-    for params, varz, protocol in points:
-        # the protocols of a sweep point share its objects, so identity
-        # settles most comparisons without comparing every field
-        if (
-            protocols is not None
-            and (params is last_params or params == last_params)
-            and (varz is last_varz or varz == last_varz)
-            and protocol not in protocols
-        ):
-            protocols.append(protocol)
-            continue
-        last_params, last_varz, protocols = params, varz, [protocol]
-        groups.append((params, varz, thresholds(params), protocols))
-    return groups
-
-
 # workspaces kept from one call to the next, at most one per CPU, so a
 # workspace's memory is touched once per process
 _POOL: list[_kernels.Workspace] = []
@@ -142,15 +118,14 @@ def _run_chunk(plans, cfg, held, lo, hi):
 def _chunk_parts(points, cfg, workers):
     """Each chunk's per-point moments in index order, with at most 2 * threads chunks in flight.
 
-    A chunk of n trials runs its groups as tiles of up to
-    max(1, CHUNK_TRIALS // n) groups, so a tile never holds more cells than
-    a full chunk. A call has at most two chunk lengths, and each gets its
-    tiles once.
+    A chunk of n trials runs the points as tiles (see _kernels.tiles) of up
+    to max(1, CHUNK_TRIALS // n) grid points, so no tile holds more cells
+    than a full chunk. A call has at most two chunk lengths, and each gets
+    its tiles, thresholds included, once, before any chunk runs.
     """
-    groups = _point_groups(points)
     starts = range(0, cfg.trials, CHUNK_TRIALS)
     lengths = {min(CHUNK_TRIALS, cfg.trials - lo) for lo in (starts[0], starts[-1])}
-    plans = {n: _kernels.tiles(groups, max(1, CHUNK_TRIALS // n)) for n in lengths}
+    plans = {n: _kernels.tiles(points, max(1, CHUNK_TRIALS // n)) for n in lengths}
     threads = min(workers, os.cpu_count() or 1, len(starts))
     held = {}
 
@@ -279,7 +254,10 @@ def estimate_metrics(
     Adjacent points with equal (params, varz) are one group, whose
     near-user physics runs once for all its protocols, and a chunk of n
     trials runs adjacent groups with one protocol list as tiles of up to
-    max(1, CHUNK_TRIALS // n) groups, one kernel pass each.
+    max(1, CHUNK_TRIALS // n) groups, one kernel pass each. A tile's
+    thresholds are derived before any chunk runs, psi_r1 then psi_r2 then
+    psi_r3 over its points, so an overflow raises the first overflowing
+    point's error where each point's three rates are equal.
 
     Returns an iterator with one dict per point, in order: Estimates keyed
     by METRICS, the metric ids of analytic.closed_forms plus mean_p_relay;

@@ -61,17 +61,19 @@ def decode_threshold(rate: float, alpha: float) -> float:
         ) from None
 
 
-_decode_each = elementwise(decode_threshold)
+_decode = elementwise(decode_threshold)
 
 
 def thresholds(params: SystemParams) -> Thresholds:
-    """Decode thresholds for the three target rates at the given alpha, or at arrays of them."""
-    # the wrapper's check for arrays would double the cost of a float point's thresholds
-    decode = _decode_each if isinstance(params.alpha, np.ndarray) else decode_threshold
+    """Decode thresholds for the three target rates at the given alpha.
+
+    The params may hold broadcast arrays, such as a tile's (points, 1)
+    columns; each element gets the bits of its own float call.
+    """
     return Thresholds(
-        psi_r1=decode(params.r1, params.alpha),
-        psi_r2=decode(params.r2, params.alpha),
-        psi_r3=decode(params.r3, params.alpha),
+        psi_r1=_decode(params.r1, params.alpha),
+        psi_r2=_decode(params.r2, params.alpha),
+        psi_r3=_decode(params.r3, params.alpha),
     )
 
 

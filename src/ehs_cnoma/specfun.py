@@ -36,7 +36,7 @@ def elementwise(f):
         if not any([isinstance(arg, np.ndarray) for arg in args]):
             return f(*args)
         args = np.broadcast_arrays(*args)
-        values = list(map(f, *[arg.tolist() for arg in args]))
+        values = list(map(f, *[arg.ravel().tolist() for arg in args]))
         return np.array(values, dtype=np.float64).reshape(args[0].shape)
 
     return over_elements

@@ -1,5 +1,6 @@
 import math
 import operator
+import re
 import sys
 import threading
 import tracemalloc
@@ -31,7 +32,7 @@ def estimate(params, varz, cfg, protocol, workers=1):
 def chunk(params, varz, cfg, lo, hi, protocol=Protocol.EHS_MRC):
     """A one-point call's chunk statistics: (n, means, m2, com, counts) with one row."""
     points = [(params, varz, protocol)]
-    plans = {hi - lo: _kernels.tiles(montecarlo._point_groups(points), 1)}
+    plans = {hi - lo: _kernels.tiles(points, 1)}
     return montecarlo._run_chunk(plans, cfg, {}, lo, hi)
 
 
@@ -57,7 +58,7 @@ def nan_workspace():
 
 def run_tiles(points, n, seed=42):
     """The tiles of one chunk of n trials and every (point, protocol) entry they give, in order."""
-    tiles = _kernels.tiles(montecarlo._point_groups(points), max(1, CHUNK_TRIALS // n))
+    tiles = _kernels.tiles(points, max(1, CHUNK_TRIALS // n))
     ws = nan_workspace()
     model.sample_gains(seed, 0, n, out=ws.draws[:, :n])
     entries = []
@@ -189,8 +190,7 @@ def sweep_points(variable, count):
 
 
 def tile_sizes(points, n):
-    groups = montecarlo._point_groups(points)
-    return [tile.points for tile in _kernels.tiles(groups, max(1, CHUNK_TRIALS // n))]
+    return [tile.points for tile in _kernels.tiles(points, max(1, CHUNK_TRIALS // n))]
 
 
 def tile_values(tile):
@@ -249,26 +249,58 @@ class TestTiles:
         ],
     )
     def test_only_values_that_vary_are_columns(self, variable, varying):
-        groups = montecarlo._point_groups(sweep_points(variable, 5))
-        [tile] = _kernels.tiles(groups, 8)
+        points = sweep_points(variable, 5)
+        [tile] = _kernels.tiles(points, 8)
         values = tile_values(tile)
         columns = {name for name, v in values.items() if isinstance(v, np.ndarray)}
         assert columns == varying
         for name in columns:
             assert values[name].shape == (5, 1)
         assert all(type(v) is float for name, v in values.items() if name not in columns)
+        # the tile's thresholds have the bits of each point's own
+        own = [thresholds(params) for params, _, _ in points[::2]]
+        for name in ("psi_r1", "psi_r2", "psi_r3"):
+            expected = np.array([getattr(thr, name) for thr in own])
+            assert np.broadcast_to(values[name], (5, 1)).ravel().tobytes() == expected.tobytes()
 
     def test_points_that_share_every_value(self):
         # the same point twice with one protocol makes two groups whose tile
         # holds no column at all, so every step runs on (n,) rows and each
-        # row's counts and moments stand for both points
+        # row's counts and moments stand for both points; an equal but not
+        # identical (params, varz) with another protocol joins its neighbour's group
         point = (*setup_point(), Protocol.EHS_MRC)
         other = (*setup_point(d1=0.7), Protocol.HS_SC)
-        points = [point, point, other]
-        [shared, other_tile] = _kernels.tiles(montecarlo._point_groups(points), 32)
+        twin = (*setup_point(d1=0.7), Protocol.EHS_MRC)
+        assert twin[:2] == other[:2] and twin[0] is not other[0] and twin[1] is not other[1]
+        points = [point, point, other, twin]
+        [shared, other_tile] = _kernels.tiles(points, 32)
         assert (shared.points, other_tile.points) == (2, 1)
+        assert other_tile.protocols == (Protocol.HS_SC, Protocol.EHS_MRC)
         assert all(type(v) is float for v in tile_values(shared).values())
         assert_each_point_alone(points, make_cfg(trials=1000))
+
+    @pytest.mark.parametrize("trials", [CHUNK_TRIALS // 8, CHUNK_TRIALS + CHUNK_TRIALS // 8])
+    def test_threshold_overflow_raises_before_any_chunk(self, monkeypatch, trials):
+        # 2^(2r/(1-alpha)) overflows at the last two alpha points; the first
+        # of them, third in its tile where a chunk of 4096 trials makes
+        # tiles of 8, raises its own message, and no chunk draws its gains
+        alphas = [0.5 + 0.04 * k for k in range(10)] + [0.9985, 0.999]
+        grid = [setup_point(alpha=alpha) for alpha in alphas]
+        points = [(params, varz, protocol) for params, varz in grid for protocol in Protocol]
+        thresholds(grid[9][0])
+        with pytest.raises(ValueError) as own:
+            thresholds(grid[10][0])
+        with pytest.raises(ValueError) as last:
+            thresholds(grid[11][0])
+        assert str(own.value) != str(last.value)
+
+        def no_chunk(*args, **kwargs):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(model, "sample_gains", no_chunk)
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(own.value))}$"):
+                estimate_metrics(points, make_cfg(trials=trials), workers=workers)
 
 
 class TestEstimates:

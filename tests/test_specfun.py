@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ehs_cnoma import specfun
+from ehs_cnoma.protocols import decode_threshold
 from oracles import ei_series, expected_log1p_exponential
 from oracles import neg_ei_exp as scalar_neg_ei_exp
 
@@ -79,3 +80,16 @@ def test_neg_ei_exp_arrays_match_the_scalar_form_bit_for_bit():
 def test_neg_ei_exp_array_with_one_bad_element_raises():
     with pytest.raises(ValueError, match="u must be finite and > 0, got 0.0"):
         specfun.neg_ei_exp(np.array([1.0, 0.0, math.inf]))
+
+
+def test_elementwise_broadcasts_a_column_against_a_float():
+    # a (P, 1) column, as a kernel tile carries a varying rate or alpha,
+    # gets the bits of one float call per element, in its own shape
+    decode = specfun.elementwise(decode_threshold)
+    column = np.array([[0.5], [1.0], [3.0]])
+    values = decode(column, 0.3)
+    assert values.shape == (3, 1)
+    expected = [decode_threshold(rate, 0.3) for rate in column.ravel().tolist()]
+    assert values.tobytes() == np.array(expected).tobytes()
+    grid = decode(column, np.array([0.1, 0.3]))
+    assert grid.shape == (3, 2) and grid[:, 1:].tobytes() == values.tobytes()
