@@ -9,9 +9,9 @@ evaluated exactly as defined here and their gap to simulation is reported,
 never asserted away.
 
 Every form takes one point, as SystemParams and ChannelVariances, or the
-arrays over many points that columns() gives in their place, with the
-same bits per point (see specfun.elementwise); with arrays, one point
-that has no value raises for all.
+floats and arrays over many points that columns() gives in their place,
+with the same bits per point (see specfun.elementwise); with arrays, one
+point that has no value raises for all.
 """
 
 from __future__ import annotations
@@ -44,10 +44,12 @@ class AnalyticReport(NamedTuple):
 
 
 def columns(objects) -> SimpleNamespace:
-    """The fields of a list of SystemParams or ChannelVariances as arrays over the list."""
+    """SystemParams or ChannelVariances fields: a float where all share the bits, else an array."""
     names = [field.name for field in fields(objects[0])]
     table = np.array(list(map(attrgetter(*names), objects)), dtype=np.float64)
-    return SimpleNamespace(**dict(zip(names, table.reshape(-1, len(names)).T.copy())))
+    shared = (table.view(np.int64) == table[:1].view(np.int64)).all(axis=0)
+    columns = zip(names, table.T, shared)
+    return SimpleNamespace(**{name: c[0].item() if same else c.copy() for name, c, same in columns})
 
 
 def _neg_ei_exp_or_zero(u):

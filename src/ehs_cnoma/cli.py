@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -147,15 +148,17 @@ def db_to_linear(snr_db: float) -> float:
         raise ValueError(f"snr_db={snr_db} overflows 10^(snr_db/10)") from None
 
 
+def _swept(spec: SweepSpec, values) -> tuple[str, list]:
+    """The SystemParams field the grid sweeps, and its value at each grid value."""
+    if spec.variable == "snr_db":
+        return "rho", [db_to_linear(value) for value in values]
+    return spec.variable, list(values)
+
+
 def _grid_params(spec: SweepSpec, params: SystemParams, values) -> list[SystemParams]:
     """params at each grid value, each built by the constructor, which runs every check."""
-    key = "rho" if spec.variable == "snr_db" else spec.variable
-    point = asdict(params)
-    out = []
-    for value in values:
-        point[key] = db_to_linear(value) if key == "rho" else value
-        out.append(SystemParams(**point))
-    return out
+    key, swept = _swept(spec, values)
+    return [SystemParams(**{**asdict(params), key: value}) for value in swept]
 
 
 def _row_layout(spec: SweepSpec, protocol: Protocol) -> list[tuple[str, str, str, int]]:
@@ -168,33 +171,86 @@ def _row_layout(spec: SweepSpec, protocol: Protocol) -> list[tuple[str, str, str
     ]
 
 
+class SweepRows(Sequence):
+    """A sweep's rows held as arrays: a read-only sequence of SweepRow, equal where its rows are.
+
+    Each grid value gives a row per layout entry, (protocol, metric, symbol, has a closed
+    form); table (values, layout, 3) holds the analytic (NaN if none), simulated, std_error.
+    """
+
+    def __init__(self, variable, values, layout, table, trials, seed):
+        self.variable, self.values, self.layout = variable, values, layout
+        self.table, self.trials, self.seed = table, trials, seed
+
+    @classmethod
+    def of(cls, row: SweepRow) -> SweepRows:
+        variable, value, protocol, metric, symbol, ana, sim, se, trials, seed = row
+        cells = [[[math.nan if ana is None else ana, sim, se]]]
+        layout = ((protocol, metric, symbol, ana is not None),)
+        return cls(variable, [value], layout, np.array(cells, dtype=np.float64), trials, seed)
+
+    def __len__(self) -> int:
+        return len(self.values) * len(self.layout)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        point, row = divmod(range(len(self))[index], len(self.layout))
+        protocol, metric, symbol, has_form = self.layout[row]
+        ana, sim, se = self.table[point, row].tolist()
+        return SweepRow(self.variable, self.values[point], protocol, metric, symbol,
+                        ana if has_form else None, sim, se, self.trials, self.seed)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, SweepRows) else NotImplemented
+
+    def _csv_lines(self) -> str:
+        # one % per point over its rows' template: the value once as %s, each float as %.9g
+        def text(value) -> str:
+            return str(value).replace("%", "%%")
+
+        head, tail = text(self.variable) + ",%s,", f",{text(self.trials)},{text(self.seed)}\n"
+        template = "".join(
+            f"{head}{text(protocol)},{text(metric)},{text(symbol)},"
+            f"{'%.9g' if has_form else ''},%.9g,%.9g{tail}"
+            for protocol, metric, symbol, has_form in self.layout
+        )
+        points = len(self.values)
+        cells = np.empty((points, len(self.layout), 4), dtype=object)
+        cells[:, :, 0] = np.array(["%.9g" % value for value in self.values], dtype=object)[:, None]
+        cells[:, :, 1:] = self.table
+        # a row with no closed form leaves its analytic cell out
+        used = [has_form or cell != 1 for *_, has_form in self.layout for cell in range(4)]
+        arguments = cells.reshape(points, -1)[:, used].tolist()
+        return "".join([template % tuple(point) for point in arguments])
+
+
 def run_sweep(
     spec: SweepSpec, params: SystemParams, cfg: EstimatorConfig, workers: int = 1,
     validate: bool = False,
-) -> tuple[list[SweepRow], list[montecarlo.ValidationReport]]:
+) -> tuple[SweepRows, list[montecarlo.ValidationReport]]:
     """(rows, reports): one row per (grid point, protocol, metric, symbol), in that order.
 
     Variances and thresholds are re-derived at every point, so sweeping d1
     or alpha changes them consistently. For SNR sweeps the grid is in dB.
-    With validate, reports holds compare_with_analytic's report for each
-    protocol at params, the base point, estimated after the grid in the same
-    call, so on the same draws; otherwise it is empty. Grid errors come first.
+    rows holds the estimates' arrays and the closed forms' columns. With
+    validate, reports holds compare_with_analytic's report for each
+    protocol at params, the base point, estimated after the grid in the
+    same call, so on the same draws. Grid errors come first, in row order.
     """
     grid = spec.values()
     # Each check of SystemParams, variances_from_distances and thresholds is
     # an interval or an overflow that grows one way along the monotone grid,
     # so the two ends pass exactly when every point does; fail before the
-    # first estimate.
+    # first estimate, then build the points between without checks
     for p_end in _grid_params(spec, params, (grid[0], grid[-1])):
         model.variances_from_distances(p_end)
         thresholds(p_end)
-    grid_points = [
-        (value, p, model.variances_from_distances(p))
-        for value, p in zip(grid, _grid_params(spec, params, grid))
-    ]
+    grid_params, grid_varz = model.grid_points(params, *_swept(spec, grid))
     # one call draws each chunk once for every (point, protocol), and the
     # protocols of a point sit side by side, so they share one kernel pass
-    points = [(p, varz, protocol) for _, p, varz in grid_points for protocol in spec.protocols]
+    points = [(p, varz, protocol)
+              for p, varz in zip(grid_params, grid_varz) for protocol in spec.protocols]
     base = []
     if validate:
         # the base point's own checks run now, but its error is raised after the grid's
@@ -205,89 +261,64 @@ def run_sweep(
         except ValueError as exc:
             base_error = exc
     call = montecarlo.estimate_metrics(points + base, cfg, workers=workers)
-    estimates = call.rows
-    params_columns = analytic.columns([p for _, p, _ in grid_points])
-    varz_columns = analytic.columns([v for _, _, v in grid_points])
-    size = len(grid_points)
-    layouts, forms = [], None
+    # every estimate is checked at once, and the closed forms run once, on
+    # the grid's columns, where an overflow leaves a value a form raises on;
+    # either failure leads to the walk below. Each row takes its form (NaN
+    # where none) and the estimate column of its protocol's entry
+    per_row = []
     try:
-        # the closed forms run once, on arrays over the grid; an overflow
-        # leaves a value that is not finite, which a form raises on
+        if not call.ok[: len(points)].all():
+            raise ValueError("undefined estimate")
         with np.errstate(all="ignore"):
-            for protocol in spec.protocols:
-                forms = analytic.closed_forms(params_columns, varz_columns, protocol, forms)
-                # each row's metric, symbol, estimate column and closed form at every point
-                layout = [
-                    (metric, symbol, col, [None] * size if metric_id not in forms
-                     else np.broadcast_to(forms[metric_id].value, size).tolist())
-                    for metric_id, metric, symbol, col in _row_layout(spec, protocol)
+            grid_columns = analytic.columns(grid_params), analytic.columns(grid_varz)
+            forms = None
+            for entry, protocol in enumerate(spec.protocols):
+                forms = analytic.closed_forms(*grid_columns, protocol, forms)
+                per_row += [
+                    ((protocol.value, metric, symbol, metric_id in forms),
+                     forms[metric_id].value if metric_id in forms else math.nan, entry, column)
+                    for metric_id, metric, symbol, column in _row_layout(spec, protocol)
                 ]
-                layouts.append((protocol.value, layout))
     except ValueError:
-        # a point has no closed form: walking the points in row order raises
-        # the first error, an estimate's or a closed form's, as point by point
-        for _, p_point, varz in grid_points:
+        # walking the points in row order raises the first error, an
+        # estimate's or a closed form's, as point by point
+        for p_point, varz in zip(grid_params, grid_varz):
             forms = None
             for protocol in spec.protocols:
-                next(estimates)
+                next(call)
                 forms = analytic.closed_forms(p_point, varz, protocol, forms)
         raise
-    variable, trials, seed = spec.variable, cfg.trials, cfg.seed
-    # tuple.__new__ fills a row without SweepRow's per-field argument binding
-    new_row = tuple.__new__
-    rows: list[SweepRow] = []
-    for k, (value, _, _) in enumerate(grid_points):
-        for name, layout in layouts:
-            # taking the estimates in row order raises an estimate's error
-            # in the order a point-by-point run would
-            means, std_errors = next(estimates)
-            for metric, symbol, col, closed in layout:
-                rows.append(
-                    new_row(
-                        SweepRow,
-                        (variable, value, name, metric, symbol, closed[k], means[col],
-                         std_errors[col], trials, seed),
-                    )
-                )
+    layout, analytics, entries, columns = zip(*per_row)
+    table = np.empty((len(grid), len(layout), 3))
+    for row, value in enumerate(analytics):
+        table[:, row, 0] = value
+    estimates = np.stack([call.mean, call.std_error], axis=-1)[: len(points)]
+    table[:, :, 1:] = estimates.reshape(len(grid), len(spec.protocols), -1, 2)[:, entries, columns]
+    rows = SweepRows(spec.variable, grid, layout, table, cfg.trials, cfg.seed)
     if validate and not base:
         raise base_error
-    return rows, [montecarlo.compare_with_analytic(*point, next(call)) for point in base]
+    return rows, [
+        montecarlo.compare_with_analytic(*point, call.point(len(points) + k))
+        for k, point in enumerate(base)
+    ]
 
 
 def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def write_csv(rows: list[SweepRow], destination) -> None:
+def write_csv(rows: SweepRows | list[SweepRow], destination) -> None:
     """Write rows as UTF-8 CSV with LF endings and 9 significant digits.
 
+    rows is run_sweep's SweepRows, whose arrays are formatted as they are,
+    or a list of SweepRow, each formatted as a one-row SweepRows.
     destination may be a path or a text stream; identical rows always
     produce identical bytes.
     """
     if not rows:
         raise ValueError("no rows to write")
-    lines = [CSV_HEADER]
-    # the rows of a sweep point share their variable and value objects, and
-    # those of a run their trials and seed, so each head and tail is
-    # formatted once per run of rows that hold the same objects; identity,
-    # not equality, decides, as 0.0 == -0.0 prints two ways
-    head_key = tail_key = (None, object())
-    for variable, value, protocol, metric, symbol, ana, sim, se, trials, seed in rows:
-        if variable is not head_key[0] or value is not head_key[1]:
-            head_key = variable, value
-            head = f"{variable},{value:.9g},"
-        if trials is not tail_key[0] or seed is not tail_key[1]:
-            tail_key = trials, seed
-            tail = f",{trials},{seed}"
-        # one % operation builds the line; %.9g is _fmt's format
-        if ana is None:
-            line = "%s%s,%s,%s,,%.9g,%.9g%s" % (head, protocol, metric, symbol, sim, se, tail)
-        else:
-            line = "%s%s,%s,%s,%.9g,%.9g,%.9g%s" % (
-                head, protocol, metric, symbol, ana, sim, se, tail
-            )
-        lines.append(line)
-    text = "\n".join(lines) + "\n"
+    parts = [rows] if isinstance(rows, SweepRows) else map(SweepRows.of, rows)
+    text = "".join([CSV_HEADER + "\n", *[part._csv_lines() for part in parts]])
     if hasattr(destination, "write"):
         destination.write(text)
     else:

@@ -90,15 +90,33 @@ def variances_from_distances(params: SystemParams) -> ChannelVariances:
     SystemParams guarantees 0 < d1 < d2.
     """
     try:
-        return ChannelVariances(
-            lambda_ccu=params.d1 ** -params.v,
-            lambda_ceu=params.d2 ** -params.v,
-            lambda_relay=(params.d2 - params.d1) ** -params.v,
-        )
+        return ChannelVariances(**_path_losses(params))
     except (OverflowError, ValueError):
         raise ValueError(
             f"path loss d^(-v) leaves (0, inf) at d1={params.d1}, d2={params.d2}, v={params.v}"
         ) from None
+
+
+def _path_losses(params: SystemParams) -> dict[str, float]:
+    d1, d2, v = params.d1, params.d2, params.v
+    return {"lambda_ccu": d1 ** -v, "lambda_ceu": d2 ** -v, "lambda_relay": (d2 - d1) ** -v}
+
+
+def grid_points(params: SystemParams, field: str, values) -> tuple[list, list]:
+    """(params, variances) with field set to each value, each equal to the constructor's, unchecked.
+
+    For the points of a grid whose checks passed (see cli.run_sweep).
+    """
+    points = [_unchecked(SystemParams, {**vars(params), field: value}) for value in values]
+    if field in ("d1", "d2", "v"):
+        return points, [_unchecked(ChannelVariances, _path_losses(point)) for point in points]
+    return points, [variances_from_distances(params)] * len(points)
+
+
+def _unchecked(cls, values: dict):
+    instance = object.__new__(cls)
+    vars(instance).update(values)
+    return instance
 
 
 def sample_gains(seed: int, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -96,7 +96,10 @@ def _run_chunk(plans, cfg, held, lo, hi):
     each thread of the call to the workspace it took from the pool for all
     its chunks, so that memory stays in that thread's core's cache. Returns
     (n, means, m2, co-moment, counts) with one row per (point, protocol),
-    in call order (see _kernels.accumulate_chunk).
+    in call order (see _kernels.accumulate_chunk). The tiles run with the
+    ufunc buffer cut to n rounded down to a multiple of 16 (at most the size
+    in force, set back even on a raise), as numpy copies every operand of a
+    broadcast through a buffer longer than a row. The bits stay the same.
     """
     n = hi - lo
     ws = held.get(threading.get_ident())
@@ -108,7 +111,11 @@ def _run_chunk(plans, cfg, held, lo, hi):
     # error rather than as a stream of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         model.sample_gains(cfg.seed, lo, hi, out=ws.draws[:, :n])
-        stats = [_kernels.accumulate_chunk(tile, ws, n)[1] for tile in plans[n]]
+        bufsize = np.setbufsize(min(np.getbufsize(), max(16, n - n % 16)))
+        try:
+            stats = [_kernels.accumulate_chunk(tile, ws, n)[1] for tile in plans[n]]
+        finally:
+            np.setbufsize(bufsize)
     if len(stats) == 1:
         # a one-tile chunk, such as every full chunk of a one-point call, needs no copy
         return (n, *stats[0])
@@ -209,36 +216,30 @@ def _finish(total):
     return mean, std_error, moments_ok, ee_ok
 
 
-def _checked_rows(points, mean, std_error, moments_ok, ee_ok):
-    """Each point's (means, std_errors) as lists of floats, its errors raised as it is taken."""
-    for (params, varz, _), means, std_errors, moments_fine, ee_fine in zip(
-        points, mean.tolist(), std_error.tolist(), moments_ok.tolist(), ee_ok.tolist()
-    ):
-        if not moments_fine:
-            raise ValueError(
-                f"simulated moments overflow at {analytic._describe_point(params, varz)}"
-            )
-        if not ee_fine:
-            raise analytic._undefined_ee(params, varz, means[4])
-        yield means, std_errors
-
-
 class Estimates(Iterator):
-    """A call's estimates, taken one point at a time in call order.
+    """A call's estimates: (points, 9) arrays mean and std_error in METRICS order, and ok.
 
-    Iterating gives each point as a dict of Estimates keyed by METRICS.
-    rows gives the same points as (means, std_errors), two lists of floats
-    in METRICS order, without building the dict. Both draw on one stream,
-    and a point whose moments overflow or whose energy efficiency is
-    undefined raises its ValueError when it is taken.
+    Iterating, or point(k), gives a point as a dict of Estimates keyed by METRICS, or raises
+    its ValueError where ok is False: its moments overflow or its energy efficiency is undefined.
     """
 
-    def __init__(self, rows: Iterator[tuple[list[float], list[float]]]):
-        self.rows = rows
+    def __init__(self, points, mean, std_error, moments_ok, ee_ok):
+        self.mean, self.std_error, self.ok = mean, std_error, moments_ok & ee_ok
+        self._points, self._moments_ok, self._ee_ok = points, moments_ok, ee_ok
+        self._order = iter(range(len(points)))
 
     def __next__(self) -> dict[str, Estimate]:
-        means, std_errors = next(self.rows)
-        return dict(zip(METRICS, map(Estimate, means, std_errors)))
+        return self.point(next(self._order))
+
+    def point(self, k: int) -> dict[str, Estimate]:
+        params, varz, _ = self._points[k]
+        if not self._moments_ok[k]:
+            where = analytic._describe_point(params, varz)
+            raise ValueError(f"simulated moments overflow at {where}")
+        means = self.mean[k].tolist()
+        if not self._ee_ok[k]:
+            raise analytic._undefined_ee(params, varz, means[4])
+        return dict(zip(METRICS, map(Estimate, means, self.std_error[k].tolist())))
 
 
 def estimate_metrics(
@@ -262,22 +263,21 @@ def estimate_metrics(
     Returns an iterator with one dict per point, in order: Estimates keyed
     by METRICS, the metric ids of analytic.closed_forms plus mean_p_relay;
     ee is the ratio of the esc_total and mean_p_relay means with a
-    first-order standard error. Its rows attribute gives the same points
-    as lists of floats (see Estimates). The simulation and the finishing
-    arithmetic run inside the call; the overflow and energy-efficiency
-    checks of a point run when it is taken, so a caller that does other
-    work point by point meets errors in point order. Worker threads are
-    capped at the CPU count and the chunk count; the result does not
-    depend on them.
+    first-order standard error; see Estimates for the same values as arrays.
+    The simulation and the finishing arithmetic run inside the call; the
+    overflow and energy-efficiency checks of a point run when it is taken,
+    so a caller that does other work point by point meets errors in point
+    order. Worker threads are capped at the CPU count and the chunk count;
+    the result does not depend on them.
     """
     points = list(points)
     if not points:
-        return Estimates(iter(()))
+        return Estimates(points, *[np.empty((0, len(METRICS)))] * 2, *[np.empty(0, bool)] * 2)
     # a left fold in index order, so every worker count gives the same bytes;
     # an overflow in the fold, as in a chunk, is left for _finish to report
     with np.errstate(over="ignore", invalid="ignore"):
         total = functools.reduce(_merge, _chunk_parts(points, cfg, workers))
-    return Estimates(_checked_rows(points, *_finish(total)))
+    return Estimates(points, *_finish(total))
 
 
 def _row(metric: str, form: AnalyticReport, est: Estimate) -> ValidationRow:

@@ -7,10 +7,15 @@ import math
 import os
 import subprocess
 import sys
+import platform
 import threading
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ehs_cnoma import _philox, analytic, cli, model, montecarlo
 from ehs_cnoma._philox import uniform_lanes
@@ -24,7 +29,7 @@ from ehs_cnoma.cli import (
     write_csv,
 )
 from ehs_cnoma.montecarlo import EstimatorConfig
-from ehs_cnoma.protocols import Protocol
+from ehs_cnoma.protocols import Protocol, thresholds
 
 SMALL = ["--trials", "2000", "--stop", "5.0"]
 
@@ -316,6 +321,101 @@ class TestRunSweep:
             assert run_sweep(spec, params, cfg, workers=workers, validate=True) == (plain, alone)
 
 
+@st.composite
+def checked_grids(draw):
+    """(spec, params) of an SNR, alpha or d1 grid near the edges of its checks."""
+    config = {
+        "snr_db": draw(st.sampled_from([-3200.0, -190.0, 15.0, 2000.0])),
+        "v": draw(st.sampled_from([0.0, 2.0, 3.7, 50.0, 1050.0])),
+        "d2": draw(st.sampled_from([1.0, 2.0, 1e6])),
+        "r3": draw(st.sampled_from([1.0, 6.0, 380.0])),
+    }
+    variable = draw(st.sampled_from(["snr_db", "alpha", "d1"]))
+    unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+    if variable == "snr_db":
+        start = draw(st.floats(min_value=-3400.0, max_value=3100.0))
+        width = draw(st.floats(min_value=0.0, max_value=400.0))
+    elif variable == "alpha":
+        start = draw(st.floats(min_value=1e-9, max_value=1.0, exclude_max=True))
+        width = (1.0 - start) * draw(unit)
+    else:
+        start = config["d2"] * draw(st.floats(min_value=1e-6, max_value=1.0, exclude_max=True))
+        width = (config["d2"] - start) * draw(unit)
+    stop = start + width
+    # the step comes from the rounded stop, so the grid has about count + 1 points
+    count = draw(st.integers(min_value=1, max_value=12))
+    step = (stop - start) / count or 1.0
+    params = model.SystemParams(rho=db_to_linear(config.pop("snr_db")), **config)
+    return SweepSpec(variable, start, stop, step), params
+
+
+class StopSweep(Exception):
+    pass
+
+
+class TestGridEnds:
+    @settings(max_examples=300, deadline=None)
+    @given(checked_grids())
+    def test_interior_points_are_the_constructors(self, grid):
+        # run_sweep checks the two grid ends and builds the points between
+        # without the constructors' checks: each must pass them, compare
+        # equal to the point the constructor builds, and carry the bits of
+        # its variances
+        spec, params = grid
+        values = spec.values()
+        try:
+            for end in cli._grid_params(spec, params, (values[0], values[-1])):
+                model.variances_from_distances(end)
+                thresholds(end)
+        except ValueError:
+            assume(False)
+        seen = []
+
+        def spy(points, cfg, workers=1):
+            seen.extend(points)
+            raise StopSweep
+
+        with mock.patch.object(montecarlo, "estimate_metrics", spy), pytest.raises(StopSweep):
+            run_sweep(spec, params, EstimatorConfig(trials=1, seed=1))
+        assert [protocol for *_, protocol in seen] == list(spec.protocols) * len(values)
+        for (point, varz, _), rebuilt in zip(seen[:: len(spec.protocols)], cli._grid_params(
+            spec, params, values
+        )):
+            rebuilt_varz = model.variances_from_distances(rebuilt)
+            thresholds(rebuilt)
+            assert type(point) is model.SystemParams and point == rebuilt
+            assert type(varz) is model.ChannelVariances
+            assert (
+                np.array(dataclasses.astuple(varz)).tobytes()
+                == np.array(dataclasses.astuple(rebuilt_varz)).tobytes()
+            )
+
+
+def plain_csv(rows) -> str:
+    """The CSV of rows, formatted one row and one %.9g at a time."""
+    lines = [cli.CSV_HEADER] + [
+        f"{variable},{value:.9g},{protocol},{metric},{symbol},"
+        f"{'' if ana is None else format(ana, '.9g')},{sim:.9g},{se:.9g},{trials},{seed}"
+        for variable, value, protocol, metric, symbol, ana, sim, se, trials, seed in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# the last two grids hold 12 values of only 2 distinct bit patterns
+REPEATS = ["--start", "0.5", "--stop", "0.5000000000000001", "--step", "1e-17"]
+PLAIN_CSV_ARGVS = {
+    "snr": [],
+    "alpha": ["--sweep", "alpha"],
+    "d1": ["--sweep", "d1"],
+    "one-point": ["--start", "10", "--stop", "10"],
+    "op": ["--metrics", "op"],
+    "hs-sc": ["--protocol", "hs-sc", "--sweep", "d1"],
+    "validate": ["--validate", "--stop", "5"],
+    "alpha-repeats": ["--sweep", "alpha", *REPEATS],
+    "d1-repeats": ["--sweep", "d1", *REPEATS],
+}
+
+
 class TestWriteCsv:
     def rows(self):
         spec, params, cfg = TestRunSweep().small_inputs(stop=10.0)
@@ -359,6 +459,23 @@ class TestWriteCsv:
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
             write_csv([], io.StringIO())
+
+    @pytest.mark.parametrize("argv", PLAIN_CSV_ARGVS.values(), ids=PLAIN_CSV_ARGVS.keys())
+    def test_main_matches_a_plain_row_formatter(self, argv, capsys, monkeypatch):
+        # main writes the CSV from run_sweep's arrays; reading each row of
+        # what run_sweep returned and formatting it alone gives every byte
+        swept = []
+
+        def recording(*args, **kwargs):
+            swept.append(run_sweep(*args, **kwargs))
+            return swept[-1]
+
+        monkeypatch.setattr(cli, "run_sweep", recording)
+        assert main(argv + ["--trials", "3000"]) == 0
+        [(rows, _)] = swept
+        assert capsys.readouterr().out == plain_csv(rows)
+        if argv[-len(REPEATS):] == REPEATS:
+            assert len({row.value.hex() for row in rows}) == 2 and len(rows) == 12 * (8 + 6)
 
     def test_rows_that_share_values_match_a_plain_row_formatter(self):
         # write_csv formats a head (variable, value) and a tail (trials, seed)
@@ -915,3 +1032,37 @@ class TestMain:
         assert main(argv + ["--workers", workers]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.skipif(
+        platform.machine() not in ("x86_64", "AMD64") or int(np.__version__.split(".")[0]) < 2,
+        reason="X86_V2 names an x86-64 feature group of numpy 2's dispatch",
+    )
+    def test_pinned_bytes_hold_at_a_lower_dispatch_level(self):
+        # the raw floats differ between numpy's SIMD dispatch levels, but the
+        # 9-digit CSV and the validation lines do not; the variable acts on
+        # the child alone and turns AVX-512 dispatch off on a host that has it
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(cli.__file__).parents[1]),
+            NPY_ENABLE_CPU_FEATURES="X86_V2",
+        )
+        grid_dense = CSV_DIGESTS[CSV_IDS.index("grid-dense")]
+        cases = [
+            (*grid_dense, None),
+            (*CSV_DIGESTS[CSV_IDS.index("snr")], None),
+            (
+                ["--trials", "3000", "--stop", "5", "--validate"],
+                "55fd36b5dd415b364e23d278255ba9bf8efb811fd3e264a74211e0a11e3fef48",
+                "6eaffa3434a7771cf26ec1199132cd2496beb5dab7762ab95888f158d6ce5009",
+            ),
+        ]
+        for argv, out_digest, err_digest in cases:
+            run = subprocess.run(
+                [sys.executable, "-m", "ehs_cnoma.cli", *argv],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            assert hashlib.sha256(run.stdout.encode("utf-8")).hexdigest() == out_digest
+            if err_digest is None:
+                assert run.stderr == ""
+            else:
+                assert hashlib.sha256(run.stderr.encode("utf-8")).hexdigest() == err_digest

@@ -147,14 +147,14 @@ class TestCounterStream:
         varz = model.variances_from_distances(params)
         points = [(params, varz, protocol) for protocol in Protocol]
         cfg = EstimatorConfig(trials=2 * CHUNK_TRIALS + 4099, seed=2 ** 64 - 5)
-        expected = list(estimate_metrics(points, cfg, workers=workers).rows)
+        expected = list(estimate_metrics(points, cfg, workers=workers))
 
         def from_raw(seed, start, stop, out=None):
             out[...] = raw_lanes(seed, start, stop - start)
             return out
 
         monkeypatch.setattr(_philox, "uniform_lanes", from_raw)
-        assert list(estimate_metrics(points, cfg, workers=workers).rows) == expected
+        assert list(estimate_metrics(points, cfg, workers=workers)) == expected
 
     def test_uniform_range(self):
         u = uniform_lanes(7, 0, 4096)

@@ -303,6 +303,53 @@ class TestTiles:
                 estimate_metrics(points, make_cfg(trials=trials), workers=workers)
 
 
+class TestUfuncBuffer:
+    @pytest.mark.parametrize("n", [7, 999, 1000, 1696, 8192])
+    @pytest.mark.parametrize("variable", ["snr", "alpha", "d1"])
+    def test_statistics_do_not_depend_on_the_buffer(self, variable, n, monkeypatch):
+        # a chunk's tiles run with the ufunc buffer cut to its trial count
+        # rounded down to a multiple of 16, so the (points, 1) columns of
+        # these tiles broadcast without numpy's buffered copies; every
+        # statistic keeps the bits it has under numpy's default buffer
+        default = np.getbufsize()
+        points = sweep_points(variable, 5)
+        plans = {n: _kernels.tiles(points, max(1, CHUNK_TRIALS // n))}
+        accumulate = _kernels.accumulate_chunk
+        sizes = []
+
+        def recording(tile, ws, n):
+            sizes.append(np.getbufsize())
+            return accumulate(tile, ws, n)
+
+        monkeypatch.setattr(_kernels, "accumulate_chunk", recording)
+        kernel = montecarlo._run_chunk(plans, make_cfg(trials=n), {}, 0, n)
+        assert sizes and set(sizes) == {min(default, max(16, n - n % 16))}
+        assert np.getbufsize() == default
+        ws = _kernels.Workspace()
+        ws.fit(n)
+        model.sample_gains(42, 0, n, out=ws.draws[:, :n])
+        stats = [accumulate(tile, ws, n)[1] for tile in plans[n]]
+        assert np.getbufsize() == default
+        for got, want in zip(kernel[1:], map(np.concatenate, zip(*stats))):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_buffer_size_is_restored(self, workers, monkeypatch):
+        before = np.getbufsize()
+        points = sweep_points("d1", 3)
+        cfg = make_cfg(trials=CHUNK_TRIALS + 1000)
+        assert estimate_metrics(points, cfg, workers=workers).ok.all()
+        assert np.getbufsize() == before
+
+        def failing(tile, ws, n):
+            raise RuntimeError("kernel failed")
+
+        monkeypatch.setattr(_kernels, "accumulate_chunk", failing)
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            estimate_metrics(points, cfg, workers=workers)
+        assert np.getbufsize() == before
+
+
 class TestEstimates:
     def test_deterministic(self):
         params, varz = setup_point()
@@ -418,7 +465,7 @@ class TestEstimates:
 
     def test_no_points_give_no_estimates(self):
         estimates = estimate_metrics([], make_cfg(trials=10))
-        assert list(estimates) == [] and list(estimates.rows) == []
+        assert list(estimates) == [] and estimates.mean.shape == (0, len(montecarlo.METRICS))
 
 
 def hand_total(n, means, m2, com, counts):
@@ -504,7 +551,7 @@ def table(totals):
 def finish(total):
     """One total finished as a one-point call: {metric: Estimate}; raises its ValueError."""
     finished = montecarlo._finish(table([total]))
-    [est] = montecarlo.Estimates(montecarlo._checked_rows([FINISH_POINT], *finished))
+    [est] = montecarlo.Estimates([FINISH_POINT], *finished)
     return est
 
 
@@ -714,9 +761,9 @@ class TestChunkScheduling:
         one = [(*setup_point(), Protocol.EHS_MRC)]
         for points, trials in ((dense, 1000), (one, 10 ** 5)):
             cfg = make_cfg(trials=trials)
-            list(estimate_metrics(points, cfg).rows)
+            assert estimate_metrics(points, cfg).ok.all()
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            list(estimate_metrics(points, cfg).rows)
+            assert estimate_metrics(points, cfg).ok.all()
             assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500, trials
 
     def test_pool_keeps_one_workspace_per_cpu_between_calls(self, monkeypatch):

@@ -11,6 +11,11 @@ argv is the workload's in TREE_B's perfbench/run.py WORKLOADS (imported, not
 run), plus ``--workers`` and ``--extra``. Prints the median per-round
 time(B) / time(A), above 1 where B is slower, and per run order its median
 and the rounds B won. Swap the trees to swap the import order.
+
+With ``--both-orders`` it runs itself twice, each in a fresh interpreter:
+as given, then with the trees swapped. The tree imported second reads a
+few percent faster, so it also prints the combined figure, the geometric
+mean of the first median and the inverse of the swapped one.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import io
 import shlex
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -53,7 +59,10 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=40)
     parser.add_argument("--workers", default="1")
     parser.add_argument("--extra", default="", help="arguments appended to the workload's argv")
+    parser.add_argument("--both-orders", action="store_true", help="run both import orders")
     args = parser.parse_args(argv)
+    if args.both_orders:
+        return both_orders(args)
 
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(args.tree_b.resolve() / "perfbench"))
@@ -76,6 +85,21 @@ def main(argv=None) -> int:
     for label, values in [(f"{args.workload} {shlex.join(run_argv)}", every), *ratios.items()]:
         print(f"{label}: B/A median {statistics.median(values):.4f},"
               f" B won {sum(r < 1.0 for r in values)} of {len(values)}")
+    return 0
+
+
+def both_orders(args) -> int:
+    medians = []
+    for trees in ([args.tree_a, args.tree_b], [args.tree_b, args.tree_a]):
+        run = subprocess.run(
+            [sys.executable, __file__, *map(str, trees), "--workload", args.workload,
+             "--rounds", str(args.rounds), "--workers", args.workers, f"--extra={args.extra}"],
+            capture_output=True, text=True, check=True,
+        )
+        print(run.stdout, end="")
+        medians.append(float(run.stdout.split("B/A median ")[1].split(",")[0]))
+    combined = (medians[0] / medians[1]) ** 0.5
+    print(f"combined B/A {combined:.4f} (A then B {medians[0]:.4f}, B then A {medians[1]:.4f})")
     return 0
 
 
