@@ -10,9 +10,9 @@ once per protocol, and the moments of the shared columns (c_x2, p_relay)
 and the x2 outage count are taken once and reused for every protocol.
 Moments and counts are taken along each point's contiguous row, which
 gives the bits of a 1-D pass over that point alone, so a point's
-statistics do not depend on the tile it sits in. They come back as
-arrays with one row per (point, protocol), which montecarlo joins across
-a chunk's tiles into the rows of the whole call.
+statistics do not depend on the tile it sits in. The kernel writes them
+in place into the chunk's statistic arrays, which have one row per
+(point, protocol) of the whole call, at the rows the tile covers.
 
 Every array of a tile lives in a Workspace, which a thread reuses for
 each chunk it runs and montecarlo keeps from one call to the next:
@@ -53,6 +53,8 @@ class Tile(NamedTuple):
     params and lambdas (the ccu, ceu and relay gain variances) hold each
     value as a float where every point shares it and as a (points, 1)
     column where it varies; thr, thresholds(params), takes the same form.
+    rows is the tile's slice of the call's (point, protocol) entries:
+    points * len(protocols) of them, each point's protocols in turn.
     """
 
     points: int
@@ -60,6 +62,7 @@ class Tile(NamedTuple):
     thr: Thresholds
     lambdas: tuple
     protocols: tuple[Protocol, ...]
+    rows: slice
 
 
 # the values of a group's params and varz that a tile carries
@@ -73,6 +76,7 @@ def tiles(points, max_points: int) -> list[Tile]:
     A grid point is a group: adjacent points whose (params, varz) compare
     equal and whose protocols differ. A tile is a run of adjacent groups
     with one protocol list, and its thresholds are those of its params.
+    The tiles' rows cut the call's entries, in order, into consecutive slices.
     """
     groups = []
     for params, varz, protocol in points:
@@ -84,7 +88,7 @@ def tiles(points, max_points: int) -> list[Tile]:
     bits = values.view(np.int64)
     columns = np.ascontiguousarray(values.T)
     out = []
-    lo = 0
+    lo = start = 0
     while lo < len(groups):
         protocols = tuple(groups[lo][1])
         hi = lo + 1
@@ -97,8 +101,9 @@ def tiles(points, max_points: int) -> list[Tile]:
             first[f] if same else columns[f, lo:hi, None] for f, same in enumerate(shared)
         ]
         params = TileParams(*row[:10])
-        out.append(Tile(hi - lo, params, thresholds(params), tuple(row[10:]), protocols))
-        lo = hi
+        rows = slice(start, start + (hi - lo) * len(protocols))
+        out.append(Tile(hi - lo, params, thresholds(params), tuple(row[10:]), protocols, rows))
+        lo, start = hi, rows.stop
     return out
 
 
@@ -177,31 +182,16 @@ def _moments(x, n: int, ws, dev: int, squares=None):
     return mean, _sum(np.square(dev, out=squares)), dev
 
 
-def _table(rows, points: int, dtype=np.float64):
-    """(points * len(rows), k) from one row of k values per protocol.
+def accumulate_chunk(tile: Tile, ws: Workspace, n: int, out):
+    """Statistics of a tile on the first n draws, written into out; returns (cells,).
 
-    Each value is a scalar or one per point. Row p * len(rows) + j of the
-    result holds point p under protocol j.
-    """
-    if points == 1:
-        return np.array(rows, dtype=dtype)
-    k = len(rows[0])
-    out = np.empty((points, len(rows), k), dtype)
-    for j, row in enumerate(rows):
-        for i, col in enumerate(row):
-            out[:, j, i] = col
-    return out.reshape(-1, k)
-
-
-def accumulate_chunk(tile: Tile, ws: Workspace, n: int):
-    """Statistics of a tile on the first n draws: (cells, (means, m2, com, counts)).
-
-    cells is tile.points * n. Each array has one row per (point,
-    protocol), points in tile order and each point's protocols in the
-    tile's order: means and m2 (rows, 5), com (rows,) and counts (rows, 3).
-    The gains are the workspace draws scaled by the variances. Continuous
-    metric order: c_x1, c_x2, c_x3, esc_total, p_relay; com is the
-    esc_total/p_relay co-moment. Count order: out_x1, out_x2_ccu,
+    cells is tile.points * n. out is the chunk's (means, m2, com, counts)
+    with one row per (point, protocol) of the call: means and m2 (rows, 5),
+    com (rows,) and counts (rows, 3) int64. The tile writes its rows,
+    tile.rows, viewed as (points, protocols, k) in the tile's protocol
+    order. The gains are the workspace draws scaled by the variances.
+    Continuous metric order: c_x1, c_x2, c_x3, esc_total, p_relay; com is
+    the esc_total/p_relay co-moment. Count order: out_x1, out_x2_ccu,
     out_x3_ceu. Moments use the two-pass form over the whole chunk, and
     a row equals that of a one-point tile with its protocol alone bit
     for bit.
@@ -226,7 +216,7 @@ def accumulate_chunk(tile: Tile, ws: Workspace, n: int):
     # goes last, when the links are dead, and takes row 6, whose relayed
     # SNR already has one value per cell wherever a sweep's does
     order = sorted(tile.protocols, key=lambda protocol: protocol is Protocol.EHS_MRC)
-    reduced = {}
+    tables = [a[tile.rows].reshape(points, len(tile.protocols), -1) for a in out]
     for protocol in order:
         c_x1, c_x3, out_x1, out_x3 = far_user(params, thr, protocol, links, decoded_x3, ws)
         counts = [_count(out_x1, n), count_x2, _count(out_x3, n)]
@@ -242,17 +232,14 @@ def accumulate_chunk(tile: Tile, ws: Workspace, n: int):
         mean_x3, m2_x3, _ = _moments(c_x3, n, ws, 3)
         mean_esc, m2_esc, dev_esc = _moments(esc, n, ws, k, 3)
         com = _sum(np.multiply(dev_esc, dev_p, out=dev_esc))
-        reduced[protocol] = (
+        stats = (
             [mean_x1, mean_x2, mean_x3, mean_esc, mean_p],
             [m2_x1, m2_x2, m2_x3, m2_esc, m2_p],
             [com],
             counts,
         )
-    means, m2, coms, counts = zip(*map(reduced.get, tile.protocols))
-    stats = (
-        _table(means, points),
-        _table(m2, points),
-        _table(coms, points)[:, 0],
-        _table(counts, points, np.int64),
-    )
-    return points * n, stats
+        j = tile.protocols.index(protocol)
+        for table, values in zip(tables, stats):
+            for i, value in enumerate(values):
+                table[:, j, i] = value
+    return (points * n,)

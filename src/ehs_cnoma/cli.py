@@ -182,13 +182,6 @@ class SweepRows(Sequence):
         self.variable, self.values, self.layout = variable, values, layout
         self.table, self.trials, self.seed = table, trials, seed
 
-    @classmethod
-    def of(cls, row: SweepRow) -> SweepRows:
-        variable, value, protocol, metric, symbol, ana, sim, se, trials, seed = row
-        cells = [[[math.nan if ana is None else ana, sim, se]]]
-        layout = ((protocol, metric, symbol, ana is not None),)
-        return cls(variable, [value], layout, np.array(cells, dtype=np.float64), trials, seed)
-
     def __len__(self) -> int:
         return len(self.values) * len(self.layout)
 
@@ -307,18 +300,15 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def write_csv(rows: SweepRows | list[SweepRow], destination) -> None:
-    """Write rows as UTF-8 CSV with LF endings and 9 significant digits.
+def write_csv(rows: SweepRows, destination) -> None:
+    """Write run_sweep's rows as UTF-8 CSV with LF endings and 9 significant digits.
 
-    rows is run_sweep's SweepRows, whose arrays are formatted as they are,
-    or a list of SweepRow, each formatted as a one-row SweepRows.
     destination may be a path or a text stream; identical rows always
     produce identical bytes.
     """
     if not rows:
         raise ValueError("no rows to write")
-    parts = [rows] if isinstance(rows, SweepRows) else map(SweepRows.of, rows)
-    text = "".join([CSV_HEADER + "\n", *[part._csv_lines() for part in parts]])
+    text = CSV_HEADER + "\n" + rows._csv_lines()
     if hasattr(destination, "write"):
         destination.write(text)
     else:
@@ -385,7 +375,7 @@ def main(argv=None) -> int:
 
     try:
         text = args.config.read_text(encoding="utf-8") if args.config else ""
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 

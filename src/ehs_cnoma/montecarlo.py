@@ -96,7 +96,8 @@ def _run_chunk(plans, cfg, held, lo, hi):
     each thread of the call to the workspace it took from the pool for all
     its chunks, so that memory stays in that thread's core's cache. Returns
     (n, means, m2, co-moment, counts) with one row per (point, protocol),
-    in call order (see _kernels.accumulate_chunk). The tiles run with the
+    in call order: allocated once per chunk, each tile writes its own rows
+    into them (see _kernels.accumulate_chunk). The tiles run with the
     ufunc buffer cut to n rounded down to a multiple of 16 (at most the size
     in force, set back even on a raise), as numpy copies every operand of a
     broadcast through a buffer longer than a row. The bits stay the same.
@@ -107,19 +108,21 @@ def _run_chunk(plans, cfg, held, lo, hi):
         with _POOL_LOCK:
             ws = held[threading.get_ident()] = _POOL.pop() if _POOL else _kernels.Workspace()
     ws.fit(n)
+    rows = plans[n][-1].rows.stop
+    stats = (
+        np.empty((rows, 5)), np.empty((rows, 5)), np.empty(rows), np.empty((rows, 3), np.int64)
+    )
     # an overflow leaves a non-finite moment, which _finish reports as one
     # error rather than as a stream of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         model.sample_gains(cfg.seed, lo, hi, out=ws.draws[:, :n])
         bufsize = np.setbufsize(min(np.getbufsize(), max(16, n - n % 16)))
         try:
-            stats = [_kernels.accumulate_chunk(tile, ws, n)[1] for tile in plans[n]]
+            for tile in plans[n]:
+                _kernels.accumulate_chunk(tile, ws, n, stats)
         finally:
             np.setbufsize(bufsize)
-    if len(stats) == 1:
-        # a one-tile chunk, such as every full chunk of a one-point call, needs no copy
-        return (n, *stats[0])
-    return (n, *map(np.concatenate, zip(*stats)))
+    return (n, *stats)
 
 
 def _chunk_parts(points, cfg, workers):

@@ -478,37 +478,24 @@ class TestWriteCsv:
             assert len({row.value.hex() for row in rows}) == 2 and len(rows) == 12 * (8 + 6)
 
     def test_rows_that_share_values_match_a_plain_row_formatter(self):
-        # write_csv formats a head (variable, value) and a tail (trials, seed)
-        # once per run of rows holding the same objects; equal but distinct
-        # objects, 0.0 against -0.0, True against 1 and a change of variable
-        # under one value object must still print as each row alone would
+        # write_csv formats each grid value once for all of its rows; equal
+        # but distinct values, 0.0 against -0.0, an empty analytic cell and
+        # -0.0 and 1e-300 cells must still print as each row alone would
         first, second = float("0.1"), float("0.1")
-        zero, negative_zero = 0.0, -0.0
-        assert first == second and first is not second and zero == negative_zero
-        heads = [
-            ("snr_db", first),
-            ("snr_db", second),
-            ("snr_db", zero),
-            ("snr_db", negative_zero),
-            ("alpha", negative_zero),
-            ("alpha", negative_zero),
-        ]
-        tails = [(1000, 42), (int("1000"), 42), (1000, 1), (1000, True), (1000, True), (7, 7)]
-        rows = [
-            cli.SweepRow(variable, value, "hs-sc", "op", "x2", ana, 0.25 * k, -0.0, trials, seed)
-            for k, ((variable, value), (trials, seed), ana) in enumerate(
-                zip(heads, tails, [None, 1.5, None, 2.0, -0.0, 1e-300])
-            )
-        ]
-        plain = [cli.CSV_HEADER] + [
-            f"{v},{value:.9g},{p},{m},{s},{'' if a is None else format(a, '.9g')},"
-            f"{sim:.9g},{se:.9g},{t},{seed}"
-            for v, value, p, m, s, a, sim, se, t, seed in rows
-        ]
+        assert first == second and first is not second and 0.0 == -0.0
+        values = [first, second, 0.0, -0.0]
+        layout = (("hs-sc", "op", "x2", False), ("ehs-mrc", "op", "x3", True))
+        table = np.empty((len(values), len(layout), 3))
+        table[:, 0, 0] = np.nan
+        table[:, 1, 0] = [1.5, -0.0, 1e-300, 2.0]
+        table[:, :, 1] = 0.25 * np.arange(len(values) * len(layout)).reshape(len(values), -1)
+        table[:, :, 2] = -0.0
+        rows = cli.SweepRows("snr_db", values, layout, table, 1000, 42)
         buffer = io.StringIO()
         write_csv(rows, buffer)
-        assert buffer.getvalue() == "\n".join(plain) + "\n"
-        assert ",-0,hs-sc," in buffer.getvalue() and ",1000,True\n" in buffer.getvalue()
+        assert buffer.getvalue() == plain_csv(rows)
+        assert ",-0,hs-sc,op,x2,,1.5,-0,1000,42\n" in buffer.getvalue()
+        assert ",ehs-mrc,op,x3,1e-300," in buffer.getvalue()
 
 
 CSV_DIGESTS = [
@@ -662,6 +649,15 @@ class TestMain:
         config.write_text("alpha = 1.5\n", encoding="utf-8")
         assert main(["--config", str(config)]) == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_exits_two_with_one_line(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"alpha = 0.3\n\xff\n")
+        assert main(["--config", str(config), "--stop", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot read config: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_bad_sweep_range_exits_two(self, capsys):
         assert main(["--start", "20", "--stop", "10"]) == 2
@@ -837,6 +833,18 @@ class TestMain:
         assert math.isfinite(float(line))
         # the benchmark's meta line reads the chunk size
         assert isinstance(montecarlo.CHUNK_TRIALS, int)
+
+    def test_inprocess_ab_runs_a_benchmark_workload(self):
+        # tools/inprocess_ab.py reads the benchmark's WORKLOADS and calls
+        # cli.main in process, so a change to either must keep it running
+        root = Path(__file__).parents[1]
+        run = subprocess.run(
+            [sys.executable, str(root / "tools" / "inprocess_ab.py"), str(root), str(root),
+             "--workload", "grid-dense", "--rounds", "2", "--extra", "--trials 10"],
+            capture_output=True, text=True, cwd=root,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "B/A median" in run.stdout
 
     def test_benchmark_hooks_count_what_the_argv_asks(self, capsys, monkeypatch):
         # the benchmark's traced run wraps package functions by name; every

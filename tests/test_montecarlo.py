@@ -56,21 +56,44 @@ def nan_workspace():
     return ws
 
 
+def nan_stats(rows):
+    """A chunk's (means, m2, com, counts) for rows entries: NaN, and -1 for the counts."""
+    return (
+        np.full((rows, 5), np.nan),
+        np.full((rows, 5), np.nan),
+        np.full(rows, np.nan),
+        np.full((rows, 3), -1, np.int64),
+    )
+
+
+def assert_rows_partition(tiles, entries):
+    # the tiles' rows cut [0, entries) into consecutive slices, in order
+    assert [k for tile in tiles for k in range(entries)[tile.rows]] == list(range(entries))
+    for tile in tiles:
+        assert len(range(entries)[tile.rows]) == tile.points * len(tile.protocols)
+
+
 def run_tiles(points, n, seed=42):
     """The tiles of one chunk of n trials and every (point, protocol) entry they give, in order."""
     tiles = _kernels.tiles(points, max(1, CHUNK_TRIALS // n))
+    assert_rows_partition(tiles, len(points))
     ws = nan_workspace()
     model.sample_gains(seed, 0, n, out=ws.draws[:, :n])
-    entries = []
+    stats = nan_stats(len(points))
     for tile in tiles:
         rows = [*ws.rows, *ws.flags]
-        cells, stats = _kernels.accumulate_chunk(tile, ws, n)
+        before = [column.copy() for column in stats]
+        cells, = _kernels.accumulate_chunk(tile, ws, n, stats)
         assert cells == tile.points * n
         # the tile made no row, so it read none that does not hold NaN
         assert all(map(operator.is_, rows, [*ws.rows, *ws.flags]))
-        assert [len(column) for column in stats] == [tile.points * len(tile.protocols)] * 4
-        entries.extend(zip(*stats))
-    return tiles, entries
+        # it wrote every one of its own rows, through a view, and no other
+        own = np.zeros(len(points), bool)
+        own[tile.rows] = True
+        for old, new in zip(before, stats):
+            assert new[~own].tobytes() == old[~own].tobytes()
+            assert (new[own] != -1).all() if new.dtype == np.int64 else not np.isnan(new[own]).any()
+    return tiles, list(zip(*stats))
 
 
 def snr_points(snr_dbs, protocols):
@@ -238,6 +261,7 @@ class TestTiles:
         points = both[:4] + [both[4]] + both[6:]
         assert [p for *_, p in points[3:6]] == [Protocol.HS_SC, Protocol.EHS_MRC, Protocol.EHS_MRC]
         assert tile_sizes(points, CHUNK_TRIALS // 8) == [2, 1, 2]
+        assert_rows_partition(_kernels.tiles(points, 8), len(points))
         assert_each_point_alone(points, make_cfg(trials=CHUNK_TRIALS // 8))
 
     @pytest.mark.parametrize(
@@ -276,6 +300,7 @@ class TestTiles:
         [shared, other_tile] = _kernels.tiles(points, 32)
         assert (shared.points, other_tile.points) == (2, 1)
         assert other_tile.protocols == (Protocol.HS_SC, Protocol.EHS_MRC)
+        assert_rows_partition([shared, other_tile], len(points))
         assert all(type(v) is float for v in tile_values(shared).values())
         assert_each_point_alone(points, make_cfg(trials=1000))
 
@@ -317,9 +342,9 @@ class TestUfuncBuffer:
         accumulate = _kernels.accumulate_chunk
         sizes = []
 
-        def recording(tile, ws, n):
+        def recording(tile, ws, n, out):
             sizes.append(np.getbufsize())
-            return accumulate(tile, ws, n)
+            return accumulate(tile, ws, n, out)
 
         monkeypatch.setattr(_kernels, "accumulate_chunk", recording)
         kernel = montecarlo._run_chunk(plans, make_cfg(trials=n), {}, 0, n)
@@ -328,9 +353,11 @@ class TestUfuncBuffer:
         ws = _kernels.Workspace()
         ws.fit(n)
         model.sample_gains(42, 0, n, out=ws.draws[:, :n])
-        stats = [accumulate(tile, ws, n)[1] for tile in plans[n]]
+        stats = nan_stats(len(points))
+        for tile in plans[n]:
+            accumulate(tile, ws, n, stats)
         assert np.getbufsize() == default
-        for got, want in zip(kernel[1:], map(np.concatenate, zip(*stats))):
+        for got, want in zip(kernel[1:], stats):
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -341,7 +368,7 @@ class TestUfuncBuffer:
         assert estimate_metrics(points, cfg, workers=workers).ok.all()
         assert np.getbufsize() == before
 
-        def failing(tile, ws, n):
+        def failing(tile, ws, n, out):
             raise RuntimeError("kernel failed")
 
         monkeypatch.setattr(_kernels, "accumulate_chunk", failing)
