@@ -14,8 +14,8 @@ statistics do not depend on the tile it sits in. The kernel writes them
 in place into the chunk's statistic arrays, which have one row per
 (point, protocol) of the whole call, at the rows the tile covers.
 
-Every array of a tile lives in a Workspace, which a thread reuses for
-each chunk it runs and montecarlo keeps from one call to the next:
+Every array of a tile lives in a Workspace, which each chunk borrows
+from montecarlo's pool, kept from one call to the next:
 model.sample_gains draws into it lane-major, and the gains, the physics
 and the moments write into its numbered rows through `out`, so no chunk
 allocates an array that grows with its trials or cells.
@@ -108,7 +108,7 @@ def tiles(points, max_points: int) -> list[Tile]:
 
 
 class Workspace:
-    """The reused arrays of a thread: the draws of a chunk, and numbered rows for a tile's values.
+    """The arrays a chunk borrows and returns: its draws, and numbered rows for a tile's values.
 
     draws: unit-mean exponential draws of the near-user, far-user and relay
     gains, one lane per row. rows: seven float rows, and flags: three bool

@@ -17,6 +17,7 @@ point that has no value raises for all.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import fields
 from enum import Enum, unique
 from operator import attrgetter
@@ -173,41 +174,39 @@ def energy_efficiency(params: SystemParams, varz: ChannelVariances, esc: float) 
 
 
 def closed_forms(
-    params: SystemParams,
-    varz: ChannelVariances,
-    protocol: Protocol,
-    near: dict[str, AnalyticReport] | None = None,
-) -> dict[str, AnalyticReport]:
-    """Closed form of each metric id that has one, with its exactness tag.
+    params: SystemParams, varz: ChannelVariances, protocols: Sequence[Protocol]
+) -> list[dict[str, AnalyticReport]]:
+    """Closed form of each metric id that has one, with its exactness tag: a table per protocol.
 
-    The baseline transmits no x1 and has no closed form for the
-    selection-combined x3, so only the shared near-user metrics apply.
-    The sum and the energy efficiency inherit the x3 approximation. near,
-    if given, is the table of another protocol at the same (params, varz):
-    its near-user entries (c_x2, op_x2_ccu) are reused, not evaluated again.
+    The tables follow protocols, in order. The baseline transmits no x1
+    and has no closed form for the selection-combined x3, so only the
+    near-user metrics, which the protocols share, apply to it: where the
+    enhanced protocol is asked too, the baseline's table holds the
+    enhanced table's c_x2 and op_x2_ccu reports, so each form runs once
+    per call. The sum and the energy efficiency inherit the x3
+    approximation.
     """
-    if protocol is Protocol.HS_SC and near is not None:
-        # the baseline reads only the near-user forms, so it derives no thresholds
-        return {"c_x2": near["c_x2"], "op_x2_ccu": near["op_x2_ccu"]}
     thr = thresholds(params)
     exact, approx = Exactness.EXACT, Exactness.APPROXIMATE
-    if near is None:
-        c_x2, op_x2 = AnalyticReport(ergodic_c_x2(params, varz), exact), None
+    c_x2 = AnalyticReport(ergodic_c_x2(params, varz), exact)
+    tables = {}
+    if Protocol.EHS_MRC in protocols:
+        c_x3 = ergodic_c_x3(params, varz)
+        c_x1 = ergodic_c_x1(params, varz)
+        # this addition order fixes the CSV bytes of the sum
+        esc = (c_x2.value + c_x3) + c_x1
+        tables[Protocol.EHS_MRC] = enhanced = {
+            "c_x1": AnalyticReport(c_x1, exact),
+            "c_x2": c_x2,
+            "c_x3": AnalyticReport(c_x3, approx),
+            "esc_total": AnalyticReport(esc, approx),
+            "op_x1": AnalyticReport(op_ceu_x1(params, varz, thr), exact),
+            "op_x2_ccu": AnalyticReport(op_ccu(params, varz, thr), approx),
+            "op_x3_ceu": AnalyticReport(op_ceu_x3(params, varz, thr), approx),
+            "ee": AnalyticReport(energy_efficiency(params, varz, esc), approx),
+        }
+        op_x2 = enhanced["op_x2_ccu"]
     else:
-        c_x2, op_x2 = near["c_x2"], near["op_x2_ccu"]
-    if protocol is Protocol.HS_SC:
-        return {"c_x2": c_x2, "op_x2_ccu": AnalyticReport(op_ccu(params, varz, thr), approx)}
-    c_x3 = ergodic_c_x3(params, varz)
-    c_x1 = ergodic_c_x1(params, varz)
-    # this addition order fixes the CSV bytes of the sum
-    esc = (c_x2.value + c_x3) + c_x1
-    return {
-        "c_x1": AnalyticReport(c_x1, exact),
-        "c_x2": c_x2,
-        "c_x3": AnalyticReport(c_x3, approx),
-        "esc_total": AnalyticReport(esc, approx),
-        "op_x1": AnalyticReport(op_ceu_x1(params, varz, thr), exact),
-        "op_x2_ccu": op_x2 or AnalyticReport(op_ccu(params, varz, thr), approx),
-        "op_x3_ceu": AnalyticReport(op_ceu_x3(params, varz, thr), approx),
-        "ee": AnalyticReport(energy_efficiency(params, varz, esc), approx),
-    }
+        op_x2 = AnalyticReport(op_ccu(params, varz, thr), approx)
+    tables[Protocol.HS_SC] = {"c_x2": c_x2, "op_x2_ccu": op_x2}
+    return [tables[protocol] for protocol in protocols]

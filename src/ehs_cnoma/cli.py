@@ -264,9 +264,8 @@ def run_sweep(
             raise ValueError("undefined estimate")
         with np.errstate(all="ignore"):
             grid_columns = analytic.columns(grid_params), analytic.columns(grid_varz)
-            forms = None
-            for entry, protocol in enumerate(spec.protocols):
-                forms = analytic.closed_forms(*grid_columns, protocol, forms)
+            tables = analytic.closed_forms(*grid_columns, spec.protocols)
+            for entry, (protocol, forms) in enumerate(zip(spec.protocols, tables)):
                 per_row += [
                     ((protocol.value, metric, symbol, metric_id in forms),
                      forms[metric_id].value if metric_id in forms else math.nan, entry, column)
@@ -276,10 +275,9 @@ def run_sweep(
         # walking the points in row order raises the first error, an
         # estimate's or a closed form's, as point by point
         for p_point, varz in zip(grid_params, grid_varz):
-            forms = None
             for protocol in spec.protocols:
                 next(call)
-                forms = analytic.closed_forms(p_point, varz, protocol, forms)
+                analytic.closed_forms(p_point, varz, (protocol,))
         raise
     layout, analytics, entries, columns = zip(*per_row)
     table = np.empty((len(grid), len(layout), 3))

@@ -1,15 +1,15 @@
 """Deterministic Monte-Carlo estimator with exact worker-count invariance.
 
 Trials are cut into fixed-size chunks. Each chunk is drawn once, into
-the workspace its thread took from a pool kept between calls, and
-reduced to counts and two-pass moments at every point of the call. The
-kernel takes the points a tile at a time: adjacent points that share a
-protocol list, up to one chunk's worth of (point, trial) cells, in one
-pass. A chunk's statistics are arrays with one row per (point, protocol)
-of the call, and the chunks fold into the call's running total in index
-order with the exact count-weighted update, one array operation for
-every row at once. The total is finished into estimates the same way,
-once per call. A point's result is therefore a pure function of (params,
+a workspace it borrows from a pool kept between calls, and reduced to
+counts and two-pass moments at every point of the call. The kernel
+takes the points a tile at a time: adjacent points that share a protocol
+list, up to one chunk's worth of (point, trial) cells, in one pass. A
+chunk's statistics are arrays with one row per (point, protocol) of the
+call, and the chunks fold into the call's running total in index order
+with the exact count-weighted update, one array operation for every row
+at once. The total is finished into estimates the same way, once per
+call. A point's result is therefore a pure function of (params,
 variances, protocol, config) no matter how many workers ran the chunks,
 which other points shared the call or where its tile cut the grid, and a
 workspace grows with neither the trial count nor the point count.
@@ -89,12 +89,12 @@ _POOL: list[_kernels.Workspace] = []
 _POOL_LOCK = threading.Lock()
 
 
-def _run_chunk(plans, cfg, held, lo, hi):
-    """Statistics of every point on trials [lo, hi), drawn once into this thread's workspace.
+def _run_chunk(plans, cfg, lo, hi):
+    """Statistics of every point on trials [lo, hi), drawn once into a workspace from the pool.
 
-    plans maps a chunk length to its tiles (see _chunk_parts), and held maps
-    each thread of the call to the workspace it took from the pool for all
-    its chunks, so that memory stays in that thread's core's cache. Returns
+    plans maps a chunk length to its tiles (see _chunk_parts). The chunk
+    borrows a workspace from the pool, or makes one, and puts it back
+    when its tiles are done; the pool keeps at most one per CPU. Returns
     (n, means, m2, co-moment, counts) with one row per (point, protocol),
     in call order: allocated once per chunk, each tile writes its own rows
     into them (see _kernels.accumulate_chunk). The tiles run with the
@@ -103,10 +103,8 @@ def _run_chunk(plans, cfg, held, lo, hi):
     broadcast through a buffer longer than a row. The bits stay the same.
     """
     n = hi - lo
-    ws = held.get(threading.get_ident())
-    if ws is None:
-        with _POOL_LOCK:
-            ws = held[threading.get_ident()] = _POOL.pop() if _POOL else _kernels.Workspace()
+    with _POOL_LOCK:
+        ws = _POOL.pop() if _POOL else _kernels.Workspace()
     ws.fit(n)
     rows = plans[n][-1].rows.stop
     stats = (
@@ -122,6 +120,9 @@ def _run_chunk(plans, cfg, held, lo, hi):
                 _kernels.accumulate_chunk(tile, ws, n, stats)
         finally:
             np.setbufsize(bufsize)
+    with _POOL_LOCK:
+        _POOL.append(ws)
+        del _POOL[os.cpu_count() or 1 :]
     return (n, *stats)
 
 
@@ -137,28 +138,21 @@ def _chunk_parts(points, cfg, workers):
     lengths = {min(CHUNK_TRIALS, cfg.trials - lo) for lo in (starts[0], starts[-1])}
     plans = {n: _kernels.tiles(points, max(1, CHUNK_TRIALS // n)) for n in lengths}
     threads = min(workers, os.cpu_count() or 1, len(starts))
-    held = {}
 
     def run(lo):
-        return _run_chunk(plans, cfg, held, lo, min(lo + CHUNK_TRIALS, cfg.trials))
+        return _run_chunk(plans, cfg, lo, min(lo + CHUNK_TRIALS, cfg.trials))
 
-    try:
-        if threads <= 1:
-            yield from map(run, starts)
-            return
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending = deque()
-            for lo in starts:
-                pending.append(pool.submit(run, lo))
-                if len(pending) == 2 * threads:
-                    yield pending.popleft().result()
-            while pending:
+    if threads <= 1:
+        yield from map(run, starts)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for lo in starts:
+            pending.append(pool.submit(run, lo))
+            if len(pending) == 2 * threads:
                 yield pending.popleft().result()
-    finally:
-        # the call's threads are done with their workspaces, which wait for the next call
-        with _POOL_LOCK:
-            _POOL.extend(held.values())
-            del _POOL[os.cpu_count() or 1 :]
+        while pending:
+            yield pending.popleft().result()
 
 
 def _merge(a, b):
@@ -308,6 +302,6 @@ def compare_with_analytic(
     and flagged FAIL beyond three standard errors. Approximate forms are
     listed with their gap for inspection and never fail on the gap alone.
     """
-    forms = analytic.closed_forms(params, varz, protocol)
+    [forms] = analytic.closed_forms(params, varz, (protocol,))
     rows = tuple(_row(m, form, est[m]) for m, form in forms.items())
     return ValidationReport(protocol, rows)

@@ -21,6 +21,7 @@ its cells; without one each ufunc allocates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, unique
 
@@ -28,6 +29,8 @@ import numpy as np
 
 from .model import SystemParams
 from .specfun import elementwise
+
+_LN2 = math.log(2.0)
 
 
 @unique
@@ -103,12 +106,13 @@ def relay_power(params: SystemParams, g_ccu, out=None):
     return np.multiply(params.eta * params.rho * harvest_factor(params), g_ccu, out=out)
 
 
-def _half_slot_capacity(params: SystemParams, snr_plus_1, out=None):
-    """Capacity of a symbol carried in one of the two (1-alpha)/2 payload half-slots.
+def _capacity(prelog, snr, out=None):
+    """prelog * log2(1 + snr), as prelog / ln 2 * log1p(snr), so a tiny snr keeps its precision.
 
-    Takes 1 + snr, which a caller may have formed for another use too.
+    The prelog is alpha for x1, sent in the alpha slot, and (1-alpha)/2
+    for x2 and x3, each carried in one of the two payload half-slots.
     """
-    return np.multiply((1.0 - params.alpha) / 2.0, np.log2(snr_plus_1, out=out), out=out)
+    return np.multiply(prelog / _LN2, np.log1p(snr, out=out), out=out)
 
 
 def near_user(params: SystemParams, thr: Thresholds, g_ccu, ws=None):
@@ -120,8 +124,8 @@ def near_user(params: SystemParams, thr: Thresholds, g_ccu, ws=None):
     relay power. Equality with a threshold decodes (>= convention). The
     gain may be a float or an array and is not checked here. Given a
     workspace ws (see _kernels.Workspace), c_x2 and p_relay land in its
-    rows 0 and 1, row 2 is scratch, and decoded_x3 and out_x2 land in its
-    flags 0 and 1.
+    rows 0 and 1, row 2 (and row 1 before p_relay) is scratch, and
+    decoded_x3 and out_x2 land in its flags 0 and 1.
     """
     reads = (g_ccu, params.rho, params.p_n, params.p_f, params.alpha, params.eta, params.delta)
     row, flag = _cells(ws, (*reads, thr.psi_r2, thr.psi_r3), (0, 1, 2), (0, 1))
@@ -130,12 +134,11 @@ def near_user(params: SystemParams, thr: Thresholds, g_ccu, ws=None):
     signal = np.multiply(params.p_f, rg_ccu, out=row[2])
     # ufuncs rather than `>=`, `&` and `~`, so `~` is a logical not on float inputs too
     cleared_x2 = np.greater_equal(snr_x2, thr.psi_r2, out=flag[1])
-    # 1 + snr_x2 is both the x3 SINR's interference-plus-noise and the x2 capacity's argument
-    snr_x2_plus_1 = np.add(snr_x2, 1.0, out=row[0])
-    sinr_x3 = np.divide(signal, snr_x2_plus_1, out=row[2])
+    # the x3 SINR's interference-plus-noise, in row 1 until p_relay takes it
+    sinr_x3 = np.divide(signal, np.add(snr_x2, 1.0, out=row[1]), out=row[2])
     decoded_x3 = np.greater_equal(sinr_x3, thr.psi_r3, out=flag[0])
     out_x2 = np.invert(np.bitwise_and(decoded_x3, cleared_x2, out=flag[1]), out=flag[1])
-    c_x2 = _half_slot_capacity(params, snr_x2_plus_1, out=row[0])
+    c_x2 = _capacity((1.0 - params.alpha) / 2.0, snr_x2, out=row[0])
     return c_x2, out_x2, decoded_x3, relay_power(params, g_ccu, out=row[1])
 
 
@@ -176,8 +179,7 @@ def far_user(
         row, flag = _cells(ws, (rg_ceu, params.p_total, params.alpha, thr.psi_r1), (2,), (1,))
         snr_x1 = np.multiply(rg_ceu, params.p_total, out=row[0])
         out_x1 = np.less(snr_x1, thr.psi_r1, out=flag[0])
-        snr_x1_plus_1 = np.add(1.0, snr_x1, out=row[0])
-        c_x1 = np.multiply(params.alpha, np.log2(snr_x1_plus_1, out=row[0]), out=row[0])
+        c_x1 = _capacity(params.alpha, snr_x1, out=row[0])
         combine = np.add
     else:
         c_x1 = 0.0
@@ -188,5 +190,5 @@ def far_user(
     snr_x3 = combine(sinr_x3_direct, snr_x3_relay, out=row[0])
     cleared_x3 = np.greater_equal(snr_x3, thr.psi_r3, out=flag[0])
     out_x3 = np.invert(np.bitwise_and(decoded_x3, cleared_x3, out=flag[0]), out=flag[0])
-    c_x3 = _half_slot_capacity(params, np.add(1.0, snr_x3, out=row[0]), out=row[0])
+    c_x3 = _capacity((1.0 - params.alpha) / 2.0, snr_x3, out=row[0])
     return c_x1, c_x3, out_x1, out_x3

@@ -103,7 +103,8 @@ class TestErgodicCapacities:
         x1 = analytic.ergodic_c_x1(params, varz)
         x2 = analytic.ergodic_c_x2(params, varz)
         x3 = analytic.ergodic_c_x3(params, varz)
-        esc = analytic.closed_forms(params, varz, Protocol.EHS_MRC)["esc_total"].value
+        [forms] = analytic.closed_forms(params, varz, (Protocol.EHS_MRC,))
+        esc = forms["esc_total"].value
         assert esc == pytest.approx(4.6676294466919614, rel=1e-12)
         assert esc == (x2 + x3) + x1
 
@@ -214,7 +215,8 @@ class TestEnergyEfficiency:
 
     def test_values(self):
         params, varz, _ = setup_point()
-        esc = analytic.closed_forms(params, varz, Protocol.EHS_MRC)["esc_total"].value
+        [forms] = analytic.closed_forms(params, varz, (Protocol.EHS_MRC,))
+        esc = forms["esc_total"].value
         assert analytic.energy_efficiency(params, varz, esc) == pytest.approx(
             0.04555660594203112, rel=1e-12
         )
@@ -251,7 +253,7 @@ class TestExactnessTags:
             Protocol.HS_SC: [("c_x2", exact), ("op_x2_ccu", approx)],
         }
         for protocol, tags in expected.items():
-            forms = analytic.closed_forms(params, varz, protocol)
+            [forms] = analytic.closed_forms(params, varz, (protocol,))
             assert [(metric, report.exactness) for metric, report in forms.items()] == tags
 
 
@@ -293,27 +295,46 @@ class TestClosedForms:
         for name in FORM_FUNCTIONS + ("neg_ei_exp",):
             counted(name)
         params, varz, _ = setup_point()
-        analytic.closed_forms(params, varz, protocol)
+        analytic.closed_forms(params, varz, (protocol,))
         assert [name for name in calls if name != "neg_ei_exp"] == order
         assert calls.count("neg_ei_exp") == specfun_calls
 
-    def test_baseline_with_shared_near_forms_derives_no_thresholds(self, monkeypatch):
-        # the hs-sc table built from another table's near-user forms reads no
-        # threshold, so it derives none and evaluates no form
+    @pytest.mark.parametrize(
+        "order", [list(Protocol), list(reversed(Protocol))], ids=["ehs-mrc-first", "hs-sc-first"]
+    )
+    def test_one_call_for_both_protocols_runs_each_form_once(self, monkeypatch, order):
+        # in either order, one call derives the thresholds once and runs each
+        # form once, in the enhanced order; the baseline's table holds the
+        # enhanced table's near-user reports, the same objects
+        calls = []
+
+        def counted(name):
+            fn = getattr(analytic, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(analytic, name, wrapper)
+
+        for name in FORM_FUNCTIONS + ("thresholds",):
+            counted(name)
         params, varz, _ = setup_point()
-        near = analytic.closed_forms(params, varz, Protocol.EHS_MRC)
-        derived = []
-
-        def counted(p):
-            derived.append(p)
-            return thresholds(p)
-
-        monkeypatch.setattr(analytic, "thresholds", counted)
-        for name in FORM_FUNCTIONS:
-            monkeypatch.setattr(analytic, name, None)
-        forms = analytic.closed_forms(params, varz, Protocol.HS_SC, near)
-        assert forms == {"c_x2": near["c_x2"], "op_x2_ccu": near["op_x2_ccu"]}
-        assert derived == []
+        tables = dict(zip(order, analytic.closed_forms(params, varz, order)))
+        assert calls == [
+            "thresholds",
+            "ergodic_c_x2",
+            "ergodic_c_x3",
+            "ergodic_c_x1",
+            "op_ceu_x1",
+            "op_ccu",
+            "op_ceu_x3",
+            "energy_efficiency",
+        ]
+        enhanced, baseline = tables[Protocol.EHS_MRC], tables[Protocol.HS_SC]
+        assert list(baseline) == ["c_x2", "op_x2_ccu"]
+        assert baseline["c_x2"] is enhanced["c_x2"]
+        assert baseline["op_x2_ccu"] is enhanced["op_x2_ccu"]
 
 
 def db_grid(snr_dbs, **overrides):
@@ -360,25 +381,17 @@ class TestArrayForms:
         for order in (list(Protocol), list(reversed(Protocol)), [Protocol.HS_SC]):
             tables, errors = [], []
             for p, v in zip(params, varz):
-                near, point = None, []
                 try:
-                    for protocol in order:
-                        near = analytic.closed_forms(p, v, protocol, near)
-                        point.append(near)
+                    tables.append(analytic.closed_forms(p, v, order))
                 except ValueError as exc:
                     errors.append(exc)
-                tables.append(point)
             if errors:
                 # a point with no value fails the whole array pass
                 with pytest.raises(ValueError):
-                    near = None
-                    for protocol in order:
-                        near = analytic.closed_forms(*columns, protocol, near)
+                    analytic.closed_forms(*columns, order)
                 continue
-            near = None
-            for j, protocol in enumerate(order):
-                near = analytic.closed_forms(*columns, protocol, near)
-                assert list(near) == list(tables[0][j])
-                for metric, form in near.items():
+            for j, forms in enumerate(analytic.closed_forms(*columns, order)):
+                assert list(forms) == list(tables[0][j])
+                for metric, form in forms.items():
                     assert form.exactness == tables[0][j][metric].exactness
                     same_bits(form.value, [point[j][metric].value for point in tables])

@@ -753,7 +753,7 @@ class TestMain:
             except ValueError as exc:
                 kinds["estimate"] = str(exc)
             try:
-                analytic.closed_forms(p, varz, Protocol.EHS_MRC)
+                analytic.closed_forms(p, varz, (Protocol.EHS_MRC,))
             except ValueError as exc:
                 kinds["closed form"] = str(exc)
             errors.append(kinds)
@@ -770,26 +770,32 @@ class TestMain:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("snr_db", ["-3000", "-3200"])
-    def test_simulated_ee_where_relay_power_squared_underflows(self, snr_db, capsys):
+    @pytest.mark.parametrize(
+        "snr_db, ee", [("-3000", "1.94935436"), ("-3200", "1.94925328")], ids=["-3000", "-3200"]
+    )
+    def test_simulated_ee_where_relay_power_squared_underflows(self, snr_db, ee, capsys):
         # the square of the mean relay power underflows to 0 here, yet the
-        # ratio is defined: 1 + snr rounds to 1, so the simulated EE is 0
+        # ratio is defined: the capacities keep their relative precision
+        # however small the SNR, so the simulated EE is the ratio of two
+        # tiny means; its standard error reads 0, as the squared deviations
+        # of values near 1e-300 underflow
         argv = ["--start", snr_db, "--stop", snr_db, "--metrics", "ee", "--trials", "1000"]
         assert main(argv + ["--protocol", "hs-sc"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert captured.out.splitlines()[1:] == [f"snr_db,{snr_db},hs-sc,ee,-,,0,0,1000,42"]
+        assert captured.out.splitlines()[1:] == [f"snr_db,{snr_db},hs-sc,ee,-,,{ee},0,1000,42"]
 
     def test_enhanced_ee_rows_at_extreme_low_snr(self, capsys):
         # the closed-form EE of the enhanced protocol is about 2e299 at
-        # -3000 dB and overflows at -3200 dB, where its error names the
-        # closed form's mean relay power
+        # -3000 dB, where the simulated capacities keep their precision,
+        # and overflows at -3200 dB, where its error names the closed
+        # form's mean relay power
         argv = ["--metrics", "ee", "--trials", "1000", "--protocol", "ehs-mrc"]
         assert main(argv + ["--start", "-3000", "--stop", "-3000"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out.splitlines()[1:] == [
-            "snr_db,-3000,ehs-mrc,ee,-,2.08972554e+299,0,0,1000,42"
+            "snr_db,-3000,ehs-mrc,ee,-,2.08972554e+299,2.19138711,0,1000,42"
         ]
         assert main(argv + ["--start", "-3200", "--stop", "-3200"]) == 2
         params = model.SystemParams(rho=db_to_linear(-3200.0))
@@ -836,15 +842,17 @@ class TestMain:
 
     def test_inprocess_ab_runs_a_benchmark_workload(self):
         # tools/inprocess_ab.py reads the benchmark's WORKLOADS and calls
-        # cli.main in process, so a change to either must keep it running
+        # cli.main in process, so a change to either must keep it running;
+        # a value that starts with a dash and has no space goes after "="
         root = Path(__file__).parents[1]
-        run = subprocess.run(
-            [sys.executable, str(root / "tools" / "inprocess_ab.py"), str(root), str(root),
-             "--workload", "grid-dense", "--rounds", "2", "--extra", "--trials 10"],
-            capture_output=True, text=True, cwd=root,
-        )
-        assert run.returncode == 0, run.stderr
-        assert "B/A median" in run.stdout
+        for extra in (["--extra", "--trials 10"], ["--extra=--validate --trials 10"]):
+            run = subprocess.run(
+                [sys.executable, str(root / "tools" / "inprocess_ab.py"), str(root), str(root),
+                 "--workload", "grid-dense", "--rounds", "2", *extra],
+                capture_output=True, text=True, cwd=root,
+            )
+            assert run.returncode == 0, run.stderr
+            assert "B/A median" in run.stdout
 
     def test_benchmark_hooks_count_what_the_argv_asks(self, capsys, monkeypatch):
         # the benchmark's traced run wraps package functions by name; every
@@ -1001,17 +1009,18 @@ class TestMain:
                 "error: energy efficiency undefined at snr_db=-3200 (rho=9.99989e-321) with "
                 "gain variances (4, 1, 4): mean relay power is 3.24058e-320\n",
             ),
-            # the simulated capacity is 0 against a subnormal exact form
+            # the simulated capacity keeps its precision, so it equals the
+            # subnormal exact form; with a standard error of 0, z is 0
             (
                 "snr_db = -3200",
                 ["--start", "0", "--stop", "5", "--protocol", "hs-sc"],
-                1,
-                "VALIDATE hs-sc c_x2: analytic=2.02072849e-321 simulated=0 std_error=0 "
-                "z=+inf FAIL\n"
+                0,
+                "VALIDATE hs-sc c_x2: analytic=2.02072849e-321 simulated=2.02072849e-321 "
+                "std_error=0 z=+0.00 OK\n"
                 "VALIDATE hs-sc op_x2_ccu: analytic=0.9 simulated=1 std_error=0 APPROX\n",
             ),
         ],
-        ids=["grid-first-alpha", "grid-first-d1", "base-alpha", "base-d1", "base-ee", "base-fail"],
+        ids=["grid-first-alpha", "grid-first-d1", "base-alpha", "base-d1", "base-ee", "base-pass"],
     )
     def test_validate_errors_at_the_base_point(self, config, argv, code, err, tmp_path, capsys):
         path = tmp_path / "run.conf"
@@ -1023,7 +1032,7 @@ class TestMain:
         if code == 2:
             assert captured.out == ""
         else:
-            # a failed validation still writes the CSV
+            # a validation writes the CSV, passed or failed
             digest = "cf1f653e6088d31c020b4c06dccacbfb3fd87dfb160891d8c59e79510624ea04"
             assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
 

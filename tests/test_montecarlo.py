@@ -33,7 +33,7 @@ def chunk(params, varz, cfg, lo, hi, protocol=Protocol.EHS_MRC):
     """A one-point call's chunk statistics: (n, means, m2, com, counts) with one row."""
     points = [(params, varz, protocol)]
     plans = {hi - lo: _kernels.tiles(points, 1)}
-    return montecarlo._run_chunk(plans, cfg, {}, lo, hi)
+    return montecarlo._run_chunk(plans, cfg, lo, hi)
 
 
 def first_row(total):
@@ -347,7 +347,7 @@ class TestUfuncBuffer:
             return accumulate(tile, ws, n, out)
 
         monkeypatch.setattr(_kernels, "accumulate_chunk", recording)
-        kernel = montecarlo._run_chunk(plans, make_cfg(trials=n), {}, 0, n)
+        kernel = montecarlo._run_chunk(plans, make_cfg(trials=n), 0, n)
         assert sizes and set(sizes) == {min(default, max(16, n - n % 16))}
         assert np.getbufsize() == default
         ws = _kernels.Workspace()
@@ -457,6 +457,16 @@ class TestEstimates:
         thr = thresholds(params)
         ana = analytic.op_ceu_x1(params, varz, thr)
         assert abs(est["op_x1"].mean - ana) <= 3.0 * est["op_x1"].std_error
+
+    def test_capacity_keeps_its_precision_at_low_snr(self):
+        # at -160 dB, 1 + snr rounds away all but a few bits of snr; the
+        # simulated capacity keeps its relative precision, so its estimate
+        # meets the exact form (z near -21 if it took log2 of 1 + snr)
+        params, varz = setup_point(rho=10.0 ** -16.0)
+        est = estimate(params, varz, make_cfg(trials=2000), Protocol.HS_SC)
+        exact = analytic.ergodic_c_x2(params, varz)
+        assert est["c_x2"].std_error > 0.0
+        assert abs(est["c_x2"].mean - exact) <= 3.0 * est["c_x2"].std_error
 
     @pytest.mark.parametrize("snr_db, d1", [(15.0, 0.5), (30.0, 0.5), (15.0, 0.9)])
     def test_near_user_outage_matches_exact_form(self, snr_db, d1):
@@ -680,7 +690,7 @@ class TestFinish:
         assert finish_reference(*total)["ee"][1] != pytest.approx(exact, rel=1e-6)
 
 
-def fake_chunk(plans, cfg, local, lo, hi):
+def fake_chunk(plans, cfg, lo, hi):
     # moments that depend on the chunk index, so a fold out of order shows
     rows = sum(tile.points * len(tile.protocols) for tile in plans[hi - lo])
     return (

@@ -8,7 +8,10 @@ ehs_cnoma_a and ehs_cnoma_b and imports both, A first, into this process.
 Each round runs ``cli.main(argv)`` once per tree, A first in even rounds and
 B first in odd ones, and asserts that both print the same stdout and stderr.
 argv is the workload's in TREE_B's perfbench/run.py WORKLOADS (imported, not
-run), plus ``--workers`` and ``--extra``. Prints the median per-round
+run), plus ``--workers`` and ``--extra``, one string that is split as a
+shell would. argparse takes a dash-led value with no space in it for an
+option, so give a lone option with ``=``: ``--extra=--validate``, while
+``--extra "--trials 10"`` works as it is. Prints the median per-round
 time(B) / time(A), above 1 where B is slower, and per run order its median
 and the rounds B won. Swap the trees to swap the import order.
 
@@ -58,7 +61,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--rounds", type=int, default=40)
     parser.add_argument("--workers", default="1")
-    parser.add_argument("--extra", default="", help="arguments appended to the workload's argv")
+    parser.add_argument(
+        "--extra", default="",
+        help="arguments appended to the workload's argv, split as a shell would; "
+        "a lone dash-led option needs '=', as in --extra=--validate",
+    )
     parser.add_argument("--both-orders", action="store_true", help="run both import orders")
     args = parser.parse_args(argv)
     if args.both_orders:
