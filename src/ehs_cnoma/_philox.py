@@ -35,7 +35,7 @@ def uniform_lanes(seed: int, start: int, stop: int, out: np.ndarray | None = Non
     from numpy.random import Philox
 
     if stop < start:
-        raise ValueError(f"empty or inverted block range [{start}, {stop})")
+        raise ValueError(f"inverted block range [{start}, {stop})")
     n = stop - start
     if out is None:
         out = np.empty((3, n))

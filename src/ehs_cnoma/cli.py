@@ -5,10 +5,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,19 +91,6 @@ class SweepSpec:
         return [self.start + k * self.step for k in range(count)]
 
 
-class SweepRow(NamedTuple):
-    variable: str
-    value: float
-    protocol: str
-    metric: str
-    symbol: str
-    analytic: float | None
-    simulated: float
-    std_error: float
-    trials: int
-    seed: int
-
-
 def parse_config(text: str) -> tuple[SystemParams, EstimatorConfig]:
     """Parse line-oriented `key = value` text; missing keys take defaults.
 
@@ -171,8 +156,8 @@ def _row_layout(spec: SweepSpec, protocol: Protocol) -> list[tuple[str, str, str
     ]
 
 
-class SweepRows(Sequence):
-    """A sweep's rows held as arrays: a read-only sequence of SweepRow, equal where its rows are.
+class SweepRows:
+    """A sweep's rows held as arrays, which write_csv formats.
 
     Each grid value gives a row per layout entry, (protocol, metric, symbol, has a closed
     form); table (values, layout, 3) holds the analytic (NaN if none), simulated, std_error.
@@ -181,21 +166,6 @@ class SweepRows(Sequence):
     def __init__(self, variable, values, layout, table, trials, seed):
         self.variable, self.values, self.layout = variable, values, layout
         self.table, self.trials, self.seed = table, trials, seed
-
-    def __len__(self) -> int:
-        return len(self.values) * len(self.layout)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[k] for k in range(*index.indices(len(self)))]
-        point, row = divmod(range(len(self))[index], len(self.layout))
-        protocol, metric, symbol, has_form = self.layout[row]
-        ana, sim, se = self.table[point, row].tolist()
-        return SweepRow(self.variable, self.values[point], protocol, metric, symbol,
-                        ana if has_form else None, sim, se, self.trials, self.seed)
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, SweepRows) else NotImplemented
 
     def _csv_lines(self) -> str:
         # one % per point over its rows' template: the value once as %s, each float as %.9g
@@ -304,7 +274,7 @@ def write_csv(rows: SweepRows, destination) -> None:
     destination may be a path or a text stream; identical rows always
     produce identical bytes.
     """
-    if not rows:
+    if not rows.table.size:
         raise ValueError("no rows to write")
     text = CSV_HEADER + "\n" + rows._csv_lines()
     if hasattr(destination, "write"):

@@ -24,7 +24,6 @@ import sys
 import threading
 from collections import deque
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -145,6 +144,9 @@ def _chunk_parts(points, cfg, workers):
     if threads <= 1:
         yield from map(run, starts)
         return
+    # imported here, like numpy.random, to keep it off the package import path
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
         for lo in starts:

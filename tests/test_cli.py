@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import platform
+import shutil
 import threading
 from pathlib import Path
 from unittest import mock
@@ -159,6 +160,20 @@ class TestSweepSpec:
             SweepSpec("snr_db", 0.0, 30.0, 5.0, protocols=())
 
 
+def csv_text(rows) -> str:
+    buffer = io.StringIO()
+    write_csv(rows, buffer)
+    return buffer.getvalue()
+
+
+def assert_same_sweep(a, b):
+    """Two run_sweep results hold the same table bits, CSV bytes and reports."""
+    (rows_a, reports_a), (rows_b, reports_b) = a, b
+    assert rows_a.table.tobytes() == rows_b.table.tobytes()
+    assert csv_text(rows_a) == csv_text(rows_b)
+    assert reports_a == reports_b
+
+
 class TestRunSweep:
     def small_inputs(self, **overrides):
         params, cfg = parse_config("trials = 2000")
@@ -175,9 +190,10 @@ class TestRunSweep:
         spec, params, cfg = self.small_inputs()
         rows, reports = run_sweep(spec, params, cfg)
         assert reports == []
-        assert len(rows) == 2 * (8 + 6)
-        ehs_rows = rows[:8]
-        assert [(r.metric, r.symbol) for r in ehs_rows] == [
+        assert rows.table.shape == (2, 8 + 6, 3)
+        ehs_rows = rows.layout[:8]
+        assert all(protocol == "ehs-mrc" for protocol, *_ in ehs_rows)
+        assert [(metric, symbol) for _, metric, symbol, _ in ehs_rows] == [
             ("esc", "x1"),
             ("esc", "x2"),
             ("esc", "x3"),
@@ -187,10 +203,10 @@ class TestRunSweep:
             ("op", "x3"),
             ("ee", "-"),
         ]
-        hs_rows = rows[8:14]
-        assert all(r.protocol == "hs-sc" for r in hs_rows)
+        hs_rows = rows.layout[8:14]
+        assert all(protocol == "hs-sc" for protocol, *_ in hs_rows)
         # the baseline never transmits x1, so those rows are dropped
-        assert [(r.metric, r.symbol) for r in hs_rows] == [
+        assert [(metric, symbol) for _, metric, symbol, _ in hs_rows] == [
             ("esc", "x2"),
             ("esc", "x3"),
             ("esc", "sum"),
@@ -198,21 +214,24 @@ class TestRunSweep:
             ("op", "x3"),
             ("ee", "-"),
         ]
-        assert {r.value for r in rows} == {10.0, 15.0}
-        assert all(r.variable == "snr_db" for r in rows)
-        assert all(r.trials == 2000 and r.seed == 42 for r in rows)
+        assert rows.values == [10.0, 15.0]
+        assert rows.variable == "snr_db"
+        assert rows.trials == 2000 and rows.seed == 42
 
     def test_analytic_cells(self):
         spec, params, cfg = self.small_inputs(stop=10.0)
         rows, _ = run_sweep(spec, params, cfg)
-        by_key = {(r.protocol, r.metric, r.symbol): r for r in rows}
+        has_form = {entry[:3]: entry[3] for entry in rows.layout}
         for key in (("ehs-mrc", "esc", "x1"), ("ehs-mrc", "op", "x3"), ("ehs-mrc", "ee", "-")):
-            assert by_key[key].analytic is not None
+            assert has_form[key]
         for key in (("hs-sc", "esc", "x3"), ("hs-sc", "esc", "sum"), ("hs-sc", "ee", "-")):
-            assert by_key[key].analytic is None
+            assert not has_form[key]
         for protocol in ("ehs-mrc", "hs-sc"):
-            assert by_key[(protocol, "esc", "x2")].analytic is not None
-            assert by_key[(protocol, "op", "x2")].analytic is not None
+            assert has_form[(protocol, "esc", "x2")]
+            assert has_form[(protocol, "op", "x2")]
+        # the table's analytic cell is NaN exactly where a row has no closed form
+        [point] = rows.table
+        assert [math.isnan(ana) for ana in point[:, 0]] == [not form for *_, form in rows.layout]
 
     def test_rows_match_direct_estimates(self):
         # one multi-point call per sweep gives every (point, protocol) the
@@ -232,12 +251,16 @@ class TestRunSweep:
         for workers in (1, 2):
             assert list(montecarlo.estimate_metrics(points, cfg, workers=workers)) == alone
             rows, _ = run_sweep(spec, params, cfg, workers=workers)
-            by_key = {(r.value, r.protocol, r.metric, r.symbol): r for r in rows}
+            by_key = {
+                (value, *entry[:3]): cells
+                for value, point in zip(rows.values, rows.table.tolist())
+                for entry, cells in zip(rows.layout, point)
+            }
             for (value, _, protocol), est in zip(pairs, alone):
                 for metric_id, (metric, symbol) in cli._ROW_LAYOUT.items():
-                    row = by_key.get((value, protocol.value, metric, symbol))
-                    if row is not None:
-                        assert (row.simulated, row.std_error) == (
+                    cells = by_key.get((value, protocol.value, metric, symbol))
+                    if cells is not None:
+                        assert tuple(cells[1:]) == (
                             est[metric_id].mean,
                             est[metric_id].std_error,
                         )
@@ -259,7 +282,7 @@ class TestRunSweep:
         spec, params, _ = self.small_inputs(variable=variable, start=start, stop=stop, step=step)
         cfg = EstimatorConfig(trials=montecarlo.CHUNK_TRIALS + 1000, seed=42)
         rows, _ = run_sweep(spec, params, cfg)
-        assert {(r.value, r.protocol) for r in rows} == {
+        assert {(value, protocol) for value in rows.values for protocol, *_ in rows.layout} == {
             (value, protocol.value) for value in spec.values() for protocol in Protocol
         }
         assert sum(drawn) == cfg.trials
@@ -267,7 +290,8 @@ class TestRunSweep:
     def test_metric_subset(self):
         spec, params, cfg = self.small_inputs(stop=10.0, metrics=("op",))
         rows, _ = run_sweep(spec, params, cfg)
-        assert [(r.protocol, r.symbol) for r in rows] == [
+        assert rows.table.shape == (1, 5, 3)
+        assert [(protocol, symbol) for protocol, _, symbol, _ in rows.layout] == [
             ("ehs-mrc", "x1"),
             ("ehs-mrc", "x2"),
             ("ehs-mrc", "x3"),
@@ -303,7 +327,9 @@ class TestRunSweep:
 
     def test_worker_invariance(self):
         spec, params, cfg = self.small_inputs()
-        assert run_sweep(spec, params, cfg, workers=1) == run_sweep(spec, params, cfg, workers=3)
+        assert_same_sweep(
+            run_sweep(spec, params, cfg, workers=1), run_sweep(spec, params, cfg, workers=3)
+        )
 
     def test_validate_reports_the_base_point_from_the_same_call(self):
         # the base point (15 dB) is not on the grid; its entries follow the
@@ -318,7 +344,9 @@ class TestRunSweep:
         ]
         plain, _ = run_sweep(spec, params, cfg)
         for workers in (1, 2):
-            assert run_sweep(spec, params, cfg, workers=workers, validate=True) == (plain, alone)
+            assert_same_sweep(
+                run_sweep(spec, params, cfg, workers=workers, validate=True), (plain, alone)
+            )
 
 
 @st.composite
@@ -392,11 +420,12 @@ class TestGridEnds:
 
 
 def plain_csv(rows) -> str:
-    """The CSV of rows, formatted one row and one %.9g at a time."""
+    """The CSV of rows, formatted one row of its table and one %.9g at a time."""
     lines = [cli.CSV_HEADER] + [
-        f"{variable},{value:.9g},{protocol},{metric},{symbol},"
-        f"{'' if ana is None else format(ana, '.9g')},{sim:.9g},{se:.9g},{trials},{seed}"
-        for variable, value, protocol, metric, symbol, ana, sim, se, trials, seed in rows
+        f"{rows.variable},{value:.9g},{protocol},{metric},{symbol},"
+        f"{format(ana, '.9g') if has_form else ''},{sim:.9g},{se:.9g},{rows.trials},{rows.seed}"
+        for value, point in zip(rows.values, rows.table.tolist())
+        for (protocol, metric, symbol, has_form), (ana, sim, se) in zip(rows.layout, point)
     ]
     return "\n".join(lines) + "\n"
 
@@ -430,7 +459,7 @@ class TestWriteCsv:
         assert lines[0] == cli.CSV_HEADER
         assert lines[-1] == ""  # trailing newline, LF only
         assert "\r" not in text
-        assert len(lines) == 1 + len(rows) + 1
+        assert len(lines) == 1 + len(rows.values) * len(rows.layout) + 1
         assert all(line.count(",") == 9 for line in lines[1:-1])
         # baseline sum row has no closed form: empty analytic cell
         hs_sum = next(
@@ -457,8 +486,11 @@ class TestWriteCsv:
         assert target.read_text(encoding="utf-8") == a.getvalue()
 
     def test_empty_rows_rejected(self):
-        with pytest.raises(ValueError):
-            write_csv([], io.StringIO())
+        # no grid values, or no rows per value, leave an empty table
+        for values, layout in (([], [("hs-sc", "op", "x2", False)]), ([10.0], [])):
+            table = np.empty((len(values), len(layout), 3))
+            with pytest.raises(ValueError, match="no rows to write"):
+                write_csv(cli.SweepRows("snr_db", values, layout, table, 1000, 42), io.StringIO())
 
     @pytest.mark.parametrize("argv", PLAIN_CSV_ARGVS.values(), ids=PLAIN_CSV_ARGVS.keys())
     def test_main_matches_a_plain_row_formatter(self, argv, capsys, monkeypatch):
@@ -475,7 +507,8 @@ class TestWriteCsv:
         [(rows, _)] = swept
         assert capsys.readouterr().out == plain_csv(rows)
         if argv[-len(REPEATS):] == REPEATS:
-            assert len({row.value.hex() for row in rows}) == 2 and len(rows) == 12 * (8 + 6)
+            assert len({value.hex() for value in rows.values}) == 2
+            assert rows.table.shape == (12, 8 + 6, 3)
 
     def test_rows_that_share_values_match_a_plain_row_formatter(self):
         # write_csv formats each grid value once for all of its rows; equal
@@ -813,11 +846,12 @@ class TestMain:
         )
         assert run.stdout.startswith(cli.CSV_HEADER)
         assert run.stderr == ""
-        probe = "import sys, ehs_cnoma; print('numpy.random' in sys.modules, 'ehs_cnoma.cli' in sys.modules)"
+        lazy = ["numpy.random", "concurrent.futures", "ehs_cnoma.cli"]
+        probe = f"import sys, ehs_cnoma; print(*[name in sys.modules for name in {lazy}])"
         run = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
-        assert run.stdout.split() == ["False", "False"]
+        assert run.stdout.split() == ["False"] * len(lazy)
 
     def test_benchmark_import_probe_prints_one_float(self):
         # the benchmark times `import ehs_cnoma` with this probe in an
@@ -853,6 +887,25 @@ class TestMain:
             )
             assert run.returncode == 0, run.stderr
             assert "B/A median" in run.stdout
+
+    def test_inprocess_ab_both_orders_shows_why_it_failed(self, tmp_path):
+        # a child run that fails, here on trees whose CSV header differs,
+        # passes on its output and its exit code
+        root = Path(__file__).parents[1]
+        for part in ("src", "perfbench"):
+            shutil.copytree(root / part, tmp_path / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        changed = tmp_path / "src" / "ehs_cnoma" / "cli.py"
+        text = changed.read_text(encoding="utf-8")
+        changed.write_text(text.replace('CSV_HEADER = "', 'CSV_HEADER = "other,'), encoding="utf-8")
+        run = subprocess.run(
+            [sys.executable, str(root / "tools" / "inprocess_ab.py"), str(root), str(tmp_path),
+             "--workload", "grid-dense", "--rounds", "2", "--extra", "--trials 10",
+             "--both-orders"],
+            capture_output=True, text=True, cwd=root,
+        )
+        assert run.returncode == 1
+        assert "round 0: the trees print different bytes" in run.stderr
 
     def test_benchmark_hooks_count_what_the_argv_asks(self, capsys, monkeypatch):
         # the benchmark's traced run wraps package functions by name; every

@@ -162,8 +162,10 @@ class TestCounterStream:
         assert np.all(u >= 0.0) and np.all(u < 1.0)
 
     def test_inverted_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^inverted block range \[10, 5\)$"):
             uniform_lanes(1, 10, 5)
+        # an empty range is not inverted: it gives no blocks
+        assert uniform_lanes(1, 5, 5).shape == (3, 0)
 
 
 class TestSampler:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import operator
 import re
@@ -760,6 +761,10 @@ class TestChunkScheduling:
         # rows of CHUNK_TRIALS doubles, for 491 points of 1000 trials (tiles
         # of 32 points) as for one point of 10^5 trials (one-point tiles)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        # uniform_lanes imports numpy.random on its first call; that one-time
+        # module import is not kernel memory, so it happens before tracing
+        import numpy.random  # noqa: F401
+
         row_bytes = CHUNK_TRIALS * 8
         dense = [
             (*setup_point(d1=0.01 + 0.002 * k), protocol)
@@ -852,7 +857,7 @@ class TestChunkScheduling:
             return pools[-1]
 
         monkeypatch.setattr(montecarlo, "_run_chunk", fake_chunk)
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         params, varz = setup_point()
         cfg = make_cfg(trials=10 * CHUNK_TRIALS)

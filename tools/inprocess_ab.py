@@ -18,7 +18,9 @@ and the rounds B won. Swap the trees to swap the import order.
 With ``--both-orders`` it runs itself twice, each in a fresh interpreter:
 as given, then with the trees swapped. The tree imported second reads a
 few percent faster, so it also prints the combined figure, the geometric
-mean of the first median and the inverse of the swapped one.
+mean of the first median and the inverse of the swapped one. A run that
+fails, for instance on trees that print different bytes, has its output
+printed and its exit code returned.
 """
 
 from __future__ import annotations
@@ -101,9 +103,12 @@ def both_orders(args) -> int:
         run = subprocess.run(
             [sys.executable, __file__, *map(str, trees), "--workload", args.workload,
              "--rounds", str(args.rounds), "--workers", args.workers, f"--extra={args.extra}"],
-            capture_output=True, text=True, check=True,
+            capture_output=True, text=True,
         )
         print(run.stdout, end="")
+        print(run.stderr, end="", file=sys.stderr)
+        if run.returncode:
+            return run.returncode
         medians.append(float(run.stdout.split("B/A median ")[1].split(",")[0]))
     combined = (medians[0] / medians[1]) ** 0.5
     print(f"combined B/A {combined:.4f} (A then B {medians[0]:.4f}, B then A {medians[1]:.4f})")
