@@ -1,18 +1,19 @@
 """Chunk kernel: the per-trial physics of protocols.py, reduced to counts and moments.
 
-The unit of work is a tile: consecutive grid points that share a protocol
-list, evaluated on one chunk of n trials as a C-contiguous (points, n)
-block of cells, trial axis innermost. A value that every point of the
-tile shares is a float and one that varies is a (points, 1) column, so
-the protocols.py steps broadcast it over the cells; a one-point tile runs
-on 1-D (n,) rows. near_user and far_links run once per tile and far_user
-once per protocol, and the moments of the shared columns (c_x2, p_relay)
-and the x2 outage count are taken once and reused for every protocol.
-Moments and counts are taken along each point's contiguous row, which
-gives the bits of a 1-D pass over that point alone, so a point's
-statistics do not depend on the tile it sits in. The kernel writes them
-in place into the chunk's statistic arrays, which have one row per
-(point, protocol) of the whole call, at the rows the tile covers.
+The unit of work is a tile: consecutive points of one call, evaluated on
+one chunk of n trials as a C-contiguous (points, n) block of cells, trial
+axis innermost, for all of the call's protocols in one pass. A value that
+every point of the tile shares is a float and one that varies is a
+(points, 1) column (see model.columns), so the protocols.py steps
+broadcast it over the cells; a one-point tile runs on 1-D (n,) rows.
+near_user and far_links run once per tile and far_user once per
+protocol, and the moments of the shared columns (c_x2, p_relay) and the
+x2 outage count are taken once and reused for every protocol. Moments
+and counts are taken along each point's contiguous row, which gives the
+bits of a 1-D pass over that point alone, so a point's statistics do not
+depend on the tile it sits in. The kernel writes them in place into the
+chunk's statistic arrays, which have one row per (point, protocol) of
+the whole call, at the rows the tile covers.
 
 Every array of a tile lives in a Workspace, which each chunk borrows
 from montecarlo's pool, kept from one call to the next:
@@ -24,86 +25,46 @@ allocates an array that grows with its trials or cells.
 from __future__ import annotations
 
 import math
-import operator
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
+from . import model
 from .protocols import Protocol, Thresholds, far_links, far_user, near_user, thresholds
 
 
-class TileParams(NamedTuple):
-    """The SystemParams fields the steps and thresholds read: floats or (points, 1) columns."""
-
-    rho: object
-    alpha: object
-    delta: object
-    eta: object
-    p_n: object
-    p_f: object
-    p_total: object
-    r1: object
-    r2: object
-    r3: object
-
-
 class Tile(NamedTuple):
-    """Adjacent groups with one protocol list, run by one kernel pass.
+    """Consecutive points of one call, run by one kernel pass for all the call's protocols.
 
-    params and lambdas (the ccu, ceu and relay gain variances) hold each
-    value as a float where every point shares it and as a (points, 1)
-    column where it varies; thr, thresholds(params), takes the same form.
+    params and varz are the points' model.columns, each varying value a
+    (points, 1) column; thr, thresholds(params), takes the same form.
     rows is the tile's slice of the call's (point, protocol) entries:
     points * len(protocols) of them, each point's protocols in turn.
     """
 
     points: int
-    params: TileParams
+    params: SimpleNamespace
     thr: Thresholds
-    lambdas: tuple
+    varz: SimpleNamespace
     protocols: tuple[Protocol, ...]
     rows: slice
 
 
-# the values of a group's params and varz that a tile carries
-_param_values = operator.attrgetter(*TileParams._fields)
-_lambda_values = operator.attrgetter("lambda_ccu", "lambda_ceu", "lambda_relay")
+def tiles(params, varz, protocols: tuple[Protocol, ...], max_points: int) -> list[Tile]:
+    """The call's points, in order, as tiles of at most max_points points.
 
-
-def tiles(points, max_points: int) -> list[Tile]:
-    """The call's (params, varz, protocol) points as tiles of at most max_points grid points.
-
-    A grid point is a group: adjacent points whose (params, varz) compare
-    equal and whose protocols differ. A tile is a run of adjacent groups
-    with one protocol list, and its thresholds are those of its params.
-    The tiles' rows cut the call's entries, in order, into consecutive slices.
+    params and varz are the model.field_table of the call's SystemParams
+    and ChannelVariances, and every point runs every one of protocols. A
+    tile's thresholds are those of its params, so an overflow raises here.
     """
-    groups = []
-    for params, varz, protocol in points:
-        if groups and (params, varz) == groups[-1][0] and protocol not in groups[-1][1]:
-            groups[-1][1].append(protocol)
-        else:
-            groups.append(((params, varz), [protocol]))
-    values = np.array([_param_values(p) + _lambda_values(v) for (p, v), _ in groups])
-    bits = values.view(np.int64)
-    columns = np.ascontiguousarray(values.T)
     out = []
-    lo = start = 0
-    while lo < len(groups):
-        protocols = tuple(groups[lo][1])
-        hi = lo + 1
-        while hi < len(groups) and hi - lo < max_points and tuple(groups[hi][1]) == protocols:
-            hi += 1
-        # a value is shared only if its bits are: 0.0 and -0.0 stay apart
-        shared = (bits[lo:hi] == bits[lo]).all(axis=0).tolist()
-        first = values[lo].tolist()
-        row = [
-            first[f] if same else columns[f, lo:hi, None] for f, same in enumerate(shared)
-        ]
-        params = TileParams(*row[:10])
-        rows = slice(start, start + (hi - lo) * len(protocols))
-        out.append(Tile(hi - lo, params, thresholds(params), tuple(row[10:]), protocols, rows))
-        lo, start = hi, rows.stop
+    for lo in range(0, params.shape[1], max_points):
+        hi = min(lo + max_points, params.shape[1])
+        p = model.columns(model.SystemParams, params[:, lo:hi, None])
+        v = model.columns(model.ChannelVariances, varz[:, lo:hi, None])
+        rows = slice(lo * len(protocols), hi * len(protocols))
+        out.append(Tile(hi - lo, p, thresholds(p), v, protocols, rows))
     return out
 
 
@@ -188,7 +149,7 @@ def accumulate_chunk(tile: Tile, ws: Workspace, n: int, out):
     cells is tile.points * n. out is the chunk's (means, m2, com, counts)
     with one row per (point, protocol) of the call: means and m2 (rows, 5),
     com (rows,) and counts (rows, 3) int64. The tile writes its rows,
-    tile.rows, viewed as (points, protocols, k) in the tile's protocol
+    tile.rows, viewed as (points, protocols, k) in the call's protocol
     order. The gains are the workspace draws scaled by the variances.
     Continuous metric order: c_x1, c_x2, c_x3, esc_total, p_relay; com is
     the esc_total/p_relay co-moment. Count order: out_x1, out_x2_ccu,
@@ -197,16 +158,16 @@ def accumulate_chunk(tile: Tile, ws: Workspace, n: int, out):
     for bit.
     """
     points = tile.points
-    params, thr = tile.params, tile.thr
-    lambda_ccu, lambda_ceu, lambda_relay = tile.lambdas
+    params, thr, varz = tile.params, tile.thr, tile.varz
     draw_ccu, draw_ceu, draw_relay = ws.draws[:, :n]
 
     # rows 0-1 keep c_x2 and p_relay (then its deviations) through the
     # tile, rows 4-6 the links through the last protocol; the gains, then
     # far_user's c_x1 and c_x3, take rows 2-3 (see the protocols.py steps)
-    g_ccu = _gain(lambda_ccu, draw_ccu, ws, 3)
+    g_ccu = _gain(varz.lambda_ccu, draw_ccu, ws, 3)
     c_x2, out_x2, decoded_x3, p_relay = near_user(params, thr, g_ccu, ws)
-    g_ceu, g_relay = _gain(lambda_ceu, draw_ceu, ws, 2), _gain(lambda_relay, draw_relay, ws, 3)
+    g_ceu = _gain(varz.lambda_ceu, draw_ceu, ws, 2)
+    g_relay = _gain(varz.lambda_relay, draw_relay, ws, 3)
     links = far_links(params, g_ceu, g_relay, p_relay, ws)
     count_x2 = _count(out_x2, n)
     mean_x2, m2_x2, _ = _moments(c_x2, n, ws, 2)
@@ -215,9 +176,9 @@ def accumulate_chunk(tile: Tile, ws: Workspace, n: int, out):
     # the baseline leaves row 2 free for esc_total; the enhanced protocol
     # goes last, when the links are dead, and takes row 6, whose relayed
     # SNR already has one value per cell wherever a sweep's does
-    order = sorted(tile.protocols, key=lambda protocol: protocol is Protocol.EHS_MRC)
+    order = sorted(enumerate(tile.protocols), key=lambda entry: entry[1] is Protocol.EHS_MRC)
     tables = [a[tile.rows].reshape(points, len(tile.protocols), -1) for a in out]
-    for protocol in order:
+    for j, protocol in order:
         c_x1, c_x3, out_x1, out_x3 = far_user(params, thr, protocol, links, decoded_x3, ws)
         counts = [_count(out_x1, n), count_x2, _count(out_x3, n)]
         k = 6 if isinstance(c_x1, np.ndarray) else 2
@@ -238,7 +199,6 @@ def accumulate_chunk(tile: Tile, ws: Workspace, n: int, out):
             [com],
             counts,
         )
-        j = tile.protocols.index(protocol)
         for table, values in zip(tables, stats):
             for i, value in enumerate(values):
                 table[:, j, i] = value

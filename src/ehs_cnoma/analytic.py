@@ -9,7 +9,7 @@ evaluated exactly as defined here and their gap to simulation is reported,
 never asserted away.
 
 Every form takes one point, as SystemParams and ChannelVariances, or the
-floats and arrays over many points that columns() gives in their place,
+floats and arrays over many points that model.columns gives in their place,
 with the same bits per point (see specfun.elementwise); with arrays, one
 point that has no value raises for all.
 """
@@ -18,10 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import fields
 from enum import Enum, unique
-from operator import attrgetter
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -42,15 +39,6 @@ class Exactness(Enum):
 class AnalyticReport(NamedTuple):
     value: float
     exactness: Exactness
-
-
-def columns(objects) -> SimpleNamespace:
-    """SystemParams or ChannelVariances fields: a float where all share the bits, else an array."""
-    names = [field.name for field in fields(objects[0])]
-    table = np.array(list(map(attrgetter(*names), objects)), dtype=np.float64)
-    shared = (table.view(np.int64) == table[:1].view(np.int64)).all(axis=0)
-    columns = zip(names, table.T, shared)
-    return SimpleNamespace(**{name: c[0].item() if same else c.copy() for name, c, same in columns})
 
 
 def _neg_ei_exp_or_zero(u):

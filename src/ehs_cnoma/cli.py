@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, model, montecarlo
-from .model import SystemParams
+from .model import ChannelVariances, SystemParams
 from .montecarlo import EstimatorConfig
 from .protocols import Protocol, thresholds
 
@@ -73,8 +73,10 @@ class SweepSpec:
         # checked before values() builds the list, so no input allocates without bound
         steps = self._steps()
         if not steps < _MAX_GRID_POINTS:
+            # the count values() would give; a ratio that overflows gives none
+            count = math.floor(steps) + 1 if math.isfinite(steps) else steps
             raise ValueError(
-                f"sweep grid of {steps + 1:.6g} points exceeds {_MAX_GRID_POINTS}: "
+                f"sweep grid of {count} points exceeds {_MAX_GRID_POINTS}: "
                 f"start={self.start} stop={self.stop} step={self.step}"
             )
         if not self.protocols:
@@ -127,6 +129,9 @@ def parse_config(text: str) -> tuple[SystemParams, EstimatorConfig]:
 
 
 def db_to_linear(snr_db: float) -> float:
+    # -inf dB is rho = 0; inf and nan have no linear SNR
+    if math.isnan(snr_db) or snr_db == math.inf:
+        raise ValueError(f"snr_db must be finite or -inf, got {snr_db}")
     try:
         return 10.0 ** (snr_db / 10.0)
     except OverflowError:
@@ -210,30 +215,33 @@ def run_sweep(
         model.variances_from_distances(p_end)
         thresholds(p_end)
     grid_params, grid_varz = model.grid_points(params, *_swept(spec, grid))
-    # one call draws each chunk once for every (point, protocol), and the
-    # protocols of a point sit side by side, so they share one kernel pass
-    points = [(p, varz, protocol)
-              for p, varz in zip(grid_params, grid_varz) for protocol in spec.protocols]
+    # one call draws each chunk once for every point and runs all of
+    # spec.protocols at each, so a point's protocols share one kernel pass
+    points = list(zip(grid_params, grid_varz))
     base = []
     if validate:
         # the base point's own checks run now, but its error is raised after the grid's
         try:
             base_varz = model.variances_from_distances(params)
             thresholds(params)
-            base = [(params, base_varz, protocol) for protocol in spec.protocols]
+            base = [(params, base_varz)]
         except ValueError as exc:
             base_error = exc
-    call = montecarlo.estimate_metrics(points + base, cfg, workers=workers)
+    call = montecarlo.estimate_metrics(points + base, spec.protocols, cfg, workers=workers)
+    on_grid = len(points) * len(spec.protocols)
     # every estimate is checked at once, and the closed forms run once, on
     # the grid's columns, where an overflow leaves a value a form raises on;
     # either failure leads to the walk below. Each row takes its form (NaN
     # where none) and the estimate column of its protocol's entry
     per_row = []
     try:
-        if not call.ok[: len(points)].all():
+        if not call.ok[:on_grid].all():
             raise ValueError("undefined estimate")
         with np.errstate(all="ignore"):
-            grid_columns = analytic.columns(grid_params), analytic.columns(grid_varz)
+            grid_columns = (
+                model.columns(SystemParams, model.field_table(grid_params)),
+                model.columns(ChannelVariances, model.field_table(grid_varz)),
+            )
             tables = analytic.closed_forms(*grid_columns, spec.protocols)
             for entry, (protocol, forms) in enumerate(zip(spec.protocols, tables)):
                 per_row += [
@@ -242,9 +250,9 @@ def run_sweep(
                     for metric_id, metric, symbol, column in _row_layout(spec, protocol)
                 ]
     except ValueError:
-        # walking the points in row order raises the first error, an
+        # walking the entries in row order raises the first error, an
         # estimate's or a closed form's, as point by point
-        for p_point, varz in zip(grid_params, grid_varz):
+        for p_point, varz in points:
             for protocol in spec.protocols:
                 next(call)
                 analytic.closed_forms(p_point, varz, (protocol,))
@@ -253,14 +261,15 @@ def run_sweep(
     table = np.empty((len(grid), len(layout), 3))
     for row, value in enumerate(analytics):
         table[:, row, 0] = value
-    estimates = np.stack([call.mean, call.std_error], axis=-1)[: len(points)]
+    estimates = np.stack([call.mean, call.std_error], axis=-1)[:on_grid]
     table[:, :, 1:] = estimates.reshape(len(grid), len(spec.protocols), -1, 2)[:, entries, columns]
     rows = SweepRows(spec.variable, grid, layout, table, cfg.trials, cfg.seed)
     if validate and not base:
         raise base_error
     return rows, [
-        montecarlo.compare_with_analytic(*point, call.point(len(points) + k))
-        for k, point in enumerate(base)
+        montecarlo.compare_with_analytic(*point, protocol, call.point(on_grid + k))
+        for point in base
+        for k, protocol in enumerate(spec.protocols)
     ]
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -117,6 +119,25 @@ def _unchecked(cls, values: dict):
     instance = object.__new__(cls)
     vars(instance).update(values)
     return instance
+
+
+def field_table(objects) -> np.ndarray:
+    """The fields of SystemParams or ChannelVariances objects: a (fields, points) float64 table."""
+    names = [field.name for field in fields(objects[0])]
+    return np.array(list(map(attrgetter(*names), objects)), dtype=np.float64).T.copy()
+
+
+def columns(cls, table: np.ndarray) -> SimpleNamespace:
+    """The fields of cls from a field_table, or any view of its points: a float where every
+    point holds the bits, else the field's row of the view, shaped as the points are.
+
+    Only bits count as shared, so 0.0 and -0.0 stay apart.
+    """
+    bits = table.view(np.int64)
+    shared = (bits == bits[:, :1]).all(axis=1).ravel().tolist()
+    first = table[:, :1].ravel().tolist()
+    rows = zip((field.name for field in fields(cls)), first, shared, table)
+    return SimpleNamespace(**{name: value if same else row for name, value, same, row in rows})
 
 
 def sample_gains(seed: int, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -2,17 +2,18 @@
 
 Trials are cut into fixed-size chunks. Each chunk is drawn once, into
 a workspace it borrows from a pool kept between calls, and reduced to
-counts and two-pass moments at every point of the call. The kernel
-takes the points a tile at a time: adjacent points that share a protocol
-list, up to one chunk's worth of (point, trial) cells, in one pass. A
-chunk's statistics are arrays with one row per (point, protocol) of the
-call, and the chunks fold into the call's running total in index order
-with the exact count-weighted update, one array operation for every row
-at once. The total is finished into estimates the same way, once per
-call. A point's result is therefore a pure function of (params,
-variances, protocol, config) no matter how many workers ran the chunks,
-which other points shared the call or where its tile cut the grid, and a
-workspace grows with neither the trial count nor the point count.
+counts and two-pass moments at every point of the call, for every
+protocol of the call. The kernel takes the points a tile at a time:
+consecutive points, up to one chunk's worth of (point, trial) cells, with
+all the call's protocols in one pass. A chunk's statistics are arrays
+with one row per (point, protocol) of the call, and the chunks fold into
+the call's running total in index order with the exact count-weighted
+update, one array operation for every row at once. The total is finished
+into estimates the same way, once per call. A (point, protocol) result
+is therefore a pure function of (params, variances, protocol, config) no
+matter how many workers ran the chunks, which other points or protocols
+shared the call or where its tile cut the grid, and a workspace grows
+with neither the trial count nor the point count.
 """
 
 from __future__ import annotations
@@ -125,17 +126,21 @@ def _run_chunk(plans, cfg, lo, hi):
     return (n, *stats)
 
 
-def _chunk_parts(points, cfg, workers):
-    """Each chunk's per-point moments in index order, with at most 2 * threads chunks in flight.
+def _chunk_parts(points, protocols, cfg, workers):
+    """Each chunk's per-entry moments in index order, with at most 2 * threads chunks in flight.
 
     A chunk of n trials runs the points as tiles (see _kernels.tiles) of up
-    to max(1, CHUNK_TRIALS // n) grid points, so no tile holds more cells
-    than a full chunk. A call has at most two chunk lengths, and each gets
-    its tiles, thresholds included, once, before any chunk runs.
+    to max(1, CHUNK_TRIALS // n) points, so no tile holds more cells than a
+    full chunk. The points' values are read once per call; a call has at
+    most two chunk lengths, and each gets its tiles, thresholds included,
+    once, before any chunk runs.
     """
+    params, varz = map(model.field_table, zip(*points))
     starts = range(0, cfg.trials, CHUNK_TRIALS)
     lengths = {min(CHUNK_TRIALS, cfg.trials - lo) for lo in (starts[0], starts[-1])}
-    plans = {n: _kernels.tiles(points, max(1, CHUNK_TRIALS // n)) for n in lengths}
+    plans = {
+        n: _kernels.tiles(params, varz, protocols, max(1, CHUNK_TRIALS // n)) for n in lengths
+    }
     threads = min(workers, os.cpu_count() or 1, len(starts))
 
     def run(lo):
@@ -216,22 +221,25 @@ def _finish(total):
 
 
 class Estimates(Iterator):
-    """A call's estimates: (points, 9) arrays mean and std_error in METRICS order, and ok.
+    """A call's estimates: (entries, 9) arrays mean and std_error in METRICS order, and ok.
 
-    Iterating, or point(k), gives a point as a dict of Estimates keyed by METRICS, or raises
-    its ValueError where ok is False: its moments overflow or its energy efficiency is undefined.
+    An entry is a (point, protocol): point-major, each point's protocols in
+    the call's order. Iterating, or point(k), gives entry k as a dict of
+    Estimates keyed by METRICS, or raises its ValueError where ok is False:
+    its moments overflow or its energy efficiency is undefined.
     """
 
-    def __init__(self, points, mean, std_error, moments_ok, ee_ok):
+    def __init__(self, points, protocols, mean, std_error, moments_ok, ee_ok):
         self.mean, self.std_error, self.ok = mean, std_error, moments_ok & ee_ok
-        self._points, self._moments_ok, self._ee_ok = points, moments_ok, ee_ok
-        self._order = iter(range(len(points)))
+        self._points, self._per_point = points, len(protocols)
+        self._moments_ok, self._ee_ok = moments_ok, ee_ok
+        self._order = iter(range(len(mean)))
 
     def __next__(self) -> dict[str, Estimate]:
         return self.point(next(self._order))
 
     def point(self, k: int) -> dict[str, Estimate]:
-        params, varz, _ = self._points[k]
+        params, varz = self._points[k // self._per_point]
         if not self._moments_ok[k]:
             where = analytic._describe_point(params, varz)
             raise ValueError(f"simulated moments overflow at {where}")
@@ -242,41 +250,48 @@ class Estimates(Iterator):
 
 
 def estimate_metrics(
-    points: Iterable[tuple[SystemParams, ChannelVariances, Protocol]],
+    points: Iterable[tuple[SystemParams, ChannelVariances]],
+    protocols: Iterable[Protocol],
     cfg: EstimatorConfig,
     workers: int = 1,
 ) -> Estimates:
-    """Monte-Carlo estimates of all capacity, outage, and power metrics at each point.
+    """Monte-Carlo estimates of every capacity, outage and power metric, per point and protocol.
 
-    A point is (params, varz, protocol). Each chunk of trials is drawn once
-    and evaluated at every point, so all points share their draws, and each
-    point's estimate is the one a call with that point alone gives.
-    Adjacent points with equal (params, varz) are one group, whose
-    near-user physics runs once for all its protocols, and a chunk of n
-    trials runs adjacent groups with one protocol list as tiles of up to
-    max(1, CHUNK_TRIALS // n) groups, one kernel pass each. A tile's
-    thresholds are derived before any chunk runs, psi_r1 then psi_r2 then
-    psi_r3 over its points, so an overflow raises the first overflowing
-    point's error where each point's three rates are equal.
+    A point is (params, varz), and every point runs each of protocols,
+    taken as Protocol(x): one or more, none repeated. Each chunk of trials
+    is drawn once and evaluated at every point, so all points share their
+    draws, and each (point, protocol) estimate is the one a call with that
+    point and protocol alone gives. A chunk of n trials runs consecutive
+    points as tiles of up to max(1, CHUNK_TRIALS // n) points, one kernel
+    pass each for all the protocols. A tile's thresholds are derived before
+    any chunk runs, psi_r1 then psi_r2 then psi_r3 over its points, so an
+    overflow raises the first overflowing point's error where each point's
+    three rates are equal.
 
-    Returns an iterator with one dict per point, in order: Estimates keyed
-    by METRICS, the metric ids of analytic.closed_forms plus mean_p_relay;
+    Returns an iterator with one dict per (point, protocol), point-major,
+    each point's protocols in the order given: Estimates keyed by
+    METRICS, the metric ids of analytic.closed_forms plus mean_p_relay;
     ee is the ratio of the esc_total and mean_p_relay means with a
     first-order standard error; see Estimates for the same values as arrays.
     The simulation and the finishing arithmetic run inside the call; the
-    overflow and energy-efficiency checks of a point run when it is taken,
-    so a caller that does other work point by point meets errors in point
+    overflow and energy-efficiency checks of an entry run when it is taken,
+    so a caller that does other work entry by entry meets errors in entry
     order. Worker threads are capped at the CPU count and the chunk count;
     the result does not depend on them.
     """
+    # the kernel tests `is Protocol.EHS_MRC`, so a name must become its member
+    protocols = tuple(map(Protocol, protocols))
+    if not protocols or len(set(protocols)) < len(protocols):
+        raise ValueError(f"need one or more distinct protocols, got {[p.value for p in protocols]}")
     points = list(points)
     if not points:
-        return Estimates(points, *[np.empty((0, len(METRICS)))] * 2, *[np.empty(0, bool)] * 2)
+        empty = [np.empty((0, len(METRICS)))] * 2 + [np.empty(0, bool)] * 2
+        return Estimates(points, protocols, *empty)
     # a left fold in index order, so every worker count gives the same bytes;
     # an overflow in the fold, as in a chunk, is left for _finish to report
     with np.errstate(over="ignore", invalid="ignore"):
-        total = functools.reduce(_merge, _chunk_parts(points, cfg, workers))
-    return Estimates(points, *_finish(total))
+        total = functools.reduce(_merge, _chunk_parts(points, protocols, cfg, workers))
+    return Estimates(points, protocols, *_finish(total))
 
 
 def _row(metric: str, form: AnalyticReport, est: Estimate) -> ValidationRow:

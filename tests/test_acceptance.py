@@ -37,7 +37,7 @@ def params_at(**overrides):
 def estimates_at(params, protocol, trials=100_000):
     varz = model.variances_from_distances(params)
     cfg = EstimatorConfig(trials=trials, seed=SEED)
-    [est] = montecarlo.estimate_metrics([(params, varz, protocol)], cfg)
+    [est] = montecarlo.estimate_metrics([(params, varz)], (protocol,), cfg)
     return est
 
 
@@ -210,7 +210,7 @@ def test_criterion_10_approximations_reported_not_asserted():
     params = params_at()
     varz = model.variances_from_distances(params)
     cfg = EstimatorConfig(trials=100_000, seed=SEED)
-    [est] = montecarlo.estimate_metrics([(params, varz, Protocol.EHS_MRC)], cfg)
+    [est] = montecarlo.estimate_metrics([(params, varz)], (Protocol.EHS_MRC,), cfg)
     report = montecarlo.compare_with_analytic(params, varz, Protocol.EHS_MRC, est)
     rows = {row.metric: row for row in report.rows}
     approx_ok = all(

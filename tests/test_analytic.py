@@ -362,7 +362,10 @@ class TestArrayForms:
     def test_arrays_over_points_match_each_point_bit_for_bit(self, grid):
         params = [model.SystemParams(**kwargs) for kwargs in ARRAY_GRIDS[grid]]
         varz = [model.variances_from_distances(p) for p in params]
-        columns = analytic.columns(params), analytic.columns(varz)
+        columns = (
+            model.columns(model.SystemParams, model.field_table(params)),
+            model.columns(model.ChannelVariances, model.field_table(varz)),
+        )
         if grid == "snr-3200":
             assert any(p.rho * v.lambda_ceu == 0.0 for p, v in zip(params, varz))
 

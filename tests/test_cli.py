@@ -241,22 +241,24 @@ class TestRunSweep:
         trials = montecarlo.CHUNK_TRIALS + montecarlo.CHUNK_TRIALS // 4 + 7
         spec, params, _ = self.small_inputs(stop=10.0)
         cfg = EstimatorConfig(trials=trials, seed=42)
-        pairs = [
-            (value, model.SystemParams(rho=db_to_linear(value)), protocol)
-            for value in spec.values()
+        grid = [model.SystemParams(rho=db_to_linear(value)) for value in spec.values()]
+        points = [(p, model.variances_from_distances(p)) for p in grid]
+        pairs = [(value, protocol) for value in spec.values() for protocol in spec.protocols]
+        alone = [
+            next(montecarlo.estimate_metrics([point], (protocol,), cfg))
+            for point in points
             for protocol in spec.protocols
         ]
-        points = [(p, model.variances_from_distances(p), protocol) for _, p, protocol in pairs]
-        alone = [next(montecarlo.estimate_metrics([point], cfg)) for point in points]
         for workers in (1, 2):
-            assert list(montecarlo.estimate_metrics(points, cfg, workers=workers)) == alone
+            call = montecarlo.estimate_metrics(points, spec.protocols, cfg, workers=workers)
+            assert list(call) == alone
             rows, _ = run_sweep(spec, params, cfg, workers=workers)
             by_key = {
                 (value, *entry[:3]): cells
                 for value, point in zip(rows.values, rows.table.tolist())
                 for entry, cells in zip(rows.layout, point)
             }
-            for (value, _, protocol), est in zip(pairs, alone):
+            for (value, protocol), est in zip(pairs, alone):
                 for metric_id, (metric, symbol) in cli._ROW_LAYOUT.items():
                     cells = by_key.get((value, protocol.value, metric, symbol))
                     if cells is not None:
@@ -339,8 +341,11 @@ class TestRunSweep:
         cfg = EstimatorConfig(trials=montecarlo.CHUNK_TRIALS + 1000, seed=42)
         varz = model.variances_from_distances(params)
         alone = [
-            montecarlo.compare_with_analytic(*point, next(montecarlo.estimate_metrics([point], cfg)))
-            for point in [(params, varz, protocol) for protocol in spec.protocols]
+            montecarlo.compare_with_analytic(
+                params, varz, protocol,
+                next(montecarlo.estimate_metrics([(params, varz)], (protocol,), cfg)),
+            )
+            for protocol in spec.protocols
         ]
         plain, _ = run_sweep(spec, params, cfg)
         for workers in (1, 2):
@@ -399,16 +404,15 @@ class TestGridEnds:
             assume(False)
         seen = []
 
-        def spy(points, cfg, workers=1):
+        def spy(points, protocols, cfg, workers=1):
             seen.extend(points)
+            assert protocols == spec.protocols
             raise StopSweep
 
         with mock.patch.object(montecarlo, "estimate_metrics", spy), pytest.raises(StopSweep):
             run_sweep(spec, params, EstimatorConfig(trials=1, seed=1))
-        assert [protocol for *_, protocol in seen] == list(spec.protocols) * len(values)
-        for (point, varz, _), rebuilt in zip(seen[:: len(spec.protocols)], cli._grid_params(
-            spec, params, values
-        )):
+        assert len(seen) == len(values)
+        for (point, varz), rebuilt in zip(seen, cli._grid_params(spec, params, values)):
             rebuilt_varz = model.variances_from_distances(rebuilt)
             thresholds(rebuilt)
             assert type(point) is model.SystemParams and point == rebuilt
@@ -711,9 +715,16 @@ class TestMain:
             (["--stop", "inf"], "stop must be finite, got inf"),
             (["--start", "nan"], "start must be finite, got nan"),
             (["--step", "inf"], "step must be finite, got inf"),
-            (["--step", "1e-12"], "sweep grid of 3e+13 points exceeds 1000000"),
+            (["--step", "1e-12"], "sweep grid of 30000000000001 points exceeds 1000000"),
             # two chunks, so the overflow also meets the fold of their moments
             (["--start", "3000", "--stop", "3000", "--trials", "32769"], "moments overflow"),
+            # one point over the bound, whose count a rounded format would hide
+            (
+                ["--start", "0", "--stop", "1e-7", "--step", "1e-13"],
+                "sweep grid of 1000001 points exceeds 1000000",
+            ),
+            # a width that overflows leaves no count
+            (["--start=-1e308", "--stop", "1e308"], "sweep grid of inf points exceeds"),
         ],
     )
     def test_bad_input_exits_two_with_one_line(self, argv, fragment, capsys):
@@ -743,6 +754,9 @@ class TestMain:
             ),
             # --validate runs at the config point, not on the sweep grid
             ("snr_db = 2000", ["--stop", "0", "--validate"], "snr_db=2000 (rho=1e+200)"),
+            # the config names no rho, so the message names snr_db
+            ("snr_db = inf", ["--stop", "0"], "snr_db must be finite or -inf, got inf"),
+            ("snr_db = nan", ["--stop", "0"], "snr_db must be finite or -inf, got nan"),
         ],
     )
     def test_bad_config_value_exits_two_with_one_line(
@@ -782,7 +796,7 @@ class TestMain:
             varz = model.variances_from_distances(p)
             kinds = {}
             try:
-                next(montecarlo.estimate_metrics([(p, varz, Protocol.EHS_MRC)], cfg))
+                next(montecarlo.estimate_metrics([(p, varz)], (Protocol.EHS_MRC,), cfg))
             except ValueError as exc:
                 kinds["estimate"] = str(exc)
             try:

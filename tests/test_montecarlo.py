@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import math
 import operator
 import re
@@ -25,15 +26,23 @@ def make_cfg(trials=100_000, seed=42):
     return EstimatorConfig(trials=trials, seed=seed)
 
 
+# both protocol orders, in which every entry must keep its bits
+ORDERS = [tuple(Protocol), tuple(reversed(Protocol))]
+
+
 def estimate(params, varz, cfg, protocol, workers=1):
-    [est] = estimate_metrics([(params, varz, protocol)], cfg, workers=workers)
+    [est] = estimate_metrics([(params, varz)], (protocol,), cfg, workers=workers)
     return est
+
+
+def make_tiles(points, protocols, max_points):
+    """The tiles of a call of (params, varz) points, as estimate_metrics makes them."""
+    return _kernels.tiles(*map(model.field_table, zip(*points)), tuple(protocols), max_points)
 
 
 def chunk(params, varz, cfg, lo, hi, protocol=Protocol.EHS_MRC):
     """A one-point call's chunk statistics: (n, means, m2, com, counts) with one row."""
-    points = [(params, varz, protocol)]
-    plans = {hi - lo: _kernels.tiles(points, 1)}
+    plans = {hi - lo: make_tiles([(params, varz)], (protocol,), 1)}
     return montecarlo._run_chunk(plans, cfg, lo, hi)
 
 
@@ -74,13 +83,14 @@ def assert_rows_partition(tiles, entries):
         assert len(range(entries)[tile.rows]) == tile.points * len(tile.protocols)
 
 
-def run_tiles(points, n, seed=42):
+def run_tiles(points, protocols, n, seed=42):
     """The tiles of one chunk of n trials and every (point, protocol) entry they give, in order."""
-    tiles = _kernels.tiles(points, max(1, CHUNK_TRIALS // n))
-    assert_rows_partition(tiles, len(points))
+    tiles = make_tiles(points, protocols, max(1, CHUNK_TRIALS // n))
+    entries = len(points) * len(protocols)
+    assert_rows_partition(tiles, entries)
     ws = nan_workspace()
     model.sample_gains(seed, 0, n, out=ws.draws[:, :n])
-    stats = nan_stats(len(points))
+    stats = nan_stats(entries)
     for tile in tiles:
         rows = [*ws.rows, *ws.flags]
         before = [column.copy() for column in stats]
@@ -89,7 +99,7 @@ def run_tiles(points, n, seed=42):
         # the tile made no row, so it read none that does not hold NaN
         assert all(map(operator.is_, rows, [*ws.rows, *ws.flags]))
         # it wrote every one of its own rows, through a view, and no other
-        own = np.zeros(len(points), bool)
+        own = np.zeros(entries, bool)
         own[tile.rows] = True
         for old, new in zip(before, stats):
             assert new[~own].tobytes() == old[~own].tobytes()
@@ -97,12 +107,8 @@ def run_tiles(points, n, seed=42):
     return tiles, list(zip(*stats))
 
 
-def snr_points(snr_dbs, protocols):
-    return [
-        (*setup_point(rho=10.0 ** (snr_db / 10.0)), protocol)
-        for snr_db in snr_dbs
-        for protocol in protocols
-    ]
+def snr_points(snr_dbs):
+    return [setup_point(rho=10.0 ** (snr_db / 10.0)) for snr_db in snr_dbs]
 
 
 # short chunks whose tiles hold up to 7 points and 1 point, a full chunk,
@@ -125,12 +131,12 @@ class TestKernels:
     def test_kernel_moments_match_numpy(self, protocol, snr_db):
         # the chunk reduction of two points against plain numpy on the same
         # per-trial values, in a workspace whose unused cells hold NaN
-        points = snr_points([snr_db, snr_db + 3.0], [protocol])
+        points = snr_points([snr_db, snr_db + 3.0])
         for n in CHUNK_LENGTHS:
-            tiles, entries = run_tiles(points, n)
+            tiles, entries = run_tiles(points, (protocol,), n)
             assert [t.points for t in tiles] == two_point_tiles(n)
             draws = model.sample_gains(42, 0, n)
-            for (params, varz, _), (means, m2, com, counts) in zip(points, entries):
+            for (params, varz), (means, m2, com, counts) in zip(points, entries):
                 thr = thresholds(params)
                 lambdas = (varz.lambda_ccu, varz.lambda_ceu, varz.lambda_relay)
                 g_ccu, g_ceu, g_relay = [lam * draw for lam, draw in zip(lambdas, draws)]
@@ -151,27 +157,29 @@ class TestKernels:
                     for flag in (out_x1, out_x2, out_x3)
                 ]
 
-    @pytest.mark.parametrize("order", [list(Protocol), list(reversed(Protocol))])
+    @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("n", CHUNK_LENGTHS)
     @pytest.mark.parametrize("snr_db", [0.0, 15.0, 30.0])
     def test_one_pass_equals_one_call_per_protocol(self, snr_db, n, order):
         # one pass for both protocols at two points gives each (point,
         # protocol) the statistics of a one-point tile with that protocol
         # alone, bit for bit, whether the points share a tile or not
-        points = snr_points([snr_db, snr_db + 3.0], order)
-        tiles, both = run_tiles(points, n)
+        points = snr_points([snr_db, snr_db + 3.0])
+        tiles, both = run_tiles(points, order, n)
         assert [t.points for t in tiles] == two_point_tiles(n)
-        assert len(both) == len(points)
+        assert len(both) == len(points) * len(order)
         by_protocol = {}
-        for point, (means, m2, com, counts) in zip(points, both):
-            [alone_tile], [alone] = run_tiles([point], n)
+        for (point, protocol), (means, m2, com, counts) in zip(
+            itertools.product(points, order), both
+        ):
+            [alone_tile], [alone] = run_tiles([point], (protocol,), n)
             assert alone_tile.points == 1
             assert means.tobytes() == alone[0].tobytes()
             assert m2.tobytes() == alone[1].tobytes()
             assert np.float64(com).tobytes() == np.float64(alone[2]).tobytes()
             assert counts.tolist() == alone[3].tolist()
             assert np.isfinite(means).all() and np.isfinite(m2).all() and math.isfinite(com)
-            by_protocol.setdefault(point[2], (means, counts))
+            by_protocol.setdefault(protocol, (means, counts))
         # MRC's combined x3 SINR is never below SC's
         (ehs_means, ehs_counts), (hs_means, hs_counts) = (
             by_protocol[Protocol.EHS_MRC], by_protocol[Protocol.HS_SC]
@@ -203,36 +211,35 @@ class TestKernels:
 
 
 def sweep_points(variable, count):
-    """count grid points of one sweep variable, each with both protocols."""
+    """count (params, varz) grid points of one sweep variable."""
     if variable == "snr":
-        make = [setup_point(rho=10.0 ** (0.5 * k)) for k in range(count)]
-    elif variable == "alpha":
-        make = [setup_point(alpha=0.1 + 0.05 * k) for k in range(count)]
-    else:
-        make = [setup_point(d1=0.1 + 0.05 * k) for k in range(count)]
-    return [(params, varz, protocol) for params, varz in make for protocol in Protocol]
+        return [setup_point(rho=10.0 ** (0.5 * k)) for k in range(count)]
+    if variable == "alpha":
+        return [setup_point(alpha=0.1 + 0.05 * k) for k in range(count)]
+    return [setup_point(d1=0.1 + 0.05 * k) for k in range(count)]
 
 
 def tile_sizes(points, n):
-    return [tile.points for tile in _kernels.tiles(points, max(1, CHUNK_TRIALS // n))]
+    return [tile.points for tile in make_tiles(points, Protocol, max(1, CHUNK_TRIALS // n))]
 
 
 def tile_values(tile):
     """Every value a tile carries, by name."""
-    thr = tile.thr
-    return {
-        **tile.params._asdict(),
-        "psi_r1": thr.psi_r1,
-        "psi_r2": thr.psi_r2,
-        "psi_r3": thr.psi_r3,
-        **dict(zip(("lambda_ccu", "lambda_ceu", "lambda_relay"), tile.lambdas)),
-    }
+    return {**vars(tile.params), **vars(tile.thr), **vars(tile.varz)}
 
 
 def assert_each_point_alone(points, cfg):
-    alone = [next(estimate_metrics([point], cfg)) for point in points]
-    for workers in (1, 2):
-        assert list(estimate_metrics(points, cfg, workers=workers)) == alone
+    # each (point, protocol) entry of a call has the bits of a call with that
+    # point and protocol alone, in either protocol order, at 1 and 2 workers
+    alone = {
+        (k, protocol): next(estimate_metrics([point], (protocol,), cfg))
+        for k, point in enumerate(points)
+        for protocol in Protocol
+    }
+    for order in ORDERS:
+        want = [alone[k, protocol] for k in range(len(points)) for protocol in order]
+        for workers in (1, 2):
+            assert list(estimate_metrics(points, order, cfg, workers=workers)) == want
 
 
 class TestTiles:
@@ -255,27 +262,17 @@ class TestTiles:
         assert [tile_sizes(points, n) for n in lengths] == sizes
         assert_each_point_alone(points, make_cfg(trials=trials))
 
-    def test_protocol_list_change_breaks_the_tile(self):
-        # the third point runs ehs-mrc alone, so it cannot share a tile with
-        # its neighbours, which run both protocols
-        both = sweep_points("d1", 5)
-        points = both[:4] + [both[4]] + both[6:]
-        assert [p for *_, p in points[3:6]] == [Protocol.HS_SC, Protocol.EHS_MRC, Protocol.EHS_MRC]
-        assert tile_sizes(points, CHUNK_TRIALS // 8) == [2, 1, 2]
-        assert_rows_partition(_kernels.tiles(points, 8), len(points))
-        assert_each_point_alone(points, make_cfg(trials=CHUNK_TRIALS // 8))
-
     @pytest.mark.parametrize(
         "variable, varying",
         [
             ("snr", {"rho"}),
             ("alpha", {"alpha", "psi_r1", "psi_r2", "psi_r3"}),
-            ("d1", {"lambda_ccu", "lambda_relay"}),
+            ("d1", {"d1", "lambda_ccu", "lambda_relay"}),
         ],
     )
     def test_only_values_that_vary_are_columns(self, variable, varying):
         points = sweep_points(variable, 5)
-        [tile] = _kernels.tiles(points, 8)
+        [tile] = make_tiles(points, Protocol, 8)
         values = tile_values(tile)
         columns = {name for name, v in values.items() if isinstance(v, np.ndarray)}
         assert columns == varying
@@ -283,25 +280,20 @@ class TestTiles:
             assert values[name].shape == (5, 1)
         assert all(type(v) is float for name, v in values.items() if name not in columns)
         # the tile's thresholds have the bits of each point's own
-        own = [thresholds(params) for params, _, _ in points[::2]]
+        own = [thresholds(params) for params, _ in points]
         for name in ("psi_r1", "psi_r2", "psi_r3"):
             expected = np.array([getattr(thr, name) for thr in own])
             assert np.broadcast_to(values[name], (5, 1)).ravel().tobytes() == expected.tobytes()
 
     def test_points_that_share_every_value(self):
-        # the same point twice with one protocol makes two groups whose tile
-        # holds no column at all, so every step runs on (n,) rows and each
-        # row's counts and moments stand for both points; an equal but not
-        # identical (params, varz) with another protocol joins its neighbour's group
-        point = (*setup_point(), Protocol.EHS_MRC)
-        other = (*setup_point(d1=0.7), Protocol.HS_SC)
-        twin = (*setup_point(d1=0.7), Protocol.EHS_MRC)
-        assert twin[:2] == other[:2] and twin[0] is not other[0] and twin[1] is not other[1]
-        points = [point, point, other, twin]
-        [shared, other_tile] = _kernels.tiles(points, 32)
-        assert (shared.points, other_tile.points) == (2, 1)
-        assert other_tile.protocols == (Protocol.HS_SC, Protocol.EHS_MRC)
-        assert_rows_partition([shared, other_tile], len(points))
+        # the same point twice makes a tile that holds no column at all, so
+        # every step runs on (n,) rows and each row's counts and moments
+        # stand for both points
+        point = setup_point()
+        points = [point, point]
+        [shared] = make_tiles(points, Protocol, 32)
+        assert shared.points == 2
+        assert_rows_partition([shared], len(points) * len(Protocol))
         assert all(type(v) is float for v in tile_values(shared).values())
         assert_each_point_alone(points, make_cfg(trials=1000))
 
@@ -312,7 +304,6 @@ class TestTiles:
         # tiles of 8, raises its own message, and no chunk draws its gains
         alphas = [0.5 + 0.04 * k for k in range(10)] + [0.9985, 0.999]
         grid = [setup_point(alpha=alpha) for alpha in alphas]
-        points = [(params, varz, protocol) for params, varz in grid for protocol in Protocol]
         thresholds(grid[9][0])
         with pytest.raises(ValueError) as own:
             thresholds(grid[10][0])
@@ -326,7 +317,7 @@ class TestTiles:
         monkeypatch.setattr(model, "sample_gains", no_chunk)
         for workers in (1, 2):
             with pytest.raises(ValueError, match=f"^{re.escape(str(own.value))}$"):
-                estimate_metrics(points, make_cfg(trials=trials), workers=workers)
+                estimate_metrics(grid, Protocol, make_cfg(trials=trials), workers=workers)
 
 
 class TestUfuncBuffer:
@@ -339,7 +330,7 @@ class TestUfuncBuffer:
         # statistic keeps the bits it has under numpy's default buffer
         default = np.getbufsize()
         points = sweep_points(variable, 5)
-        plans = {n: _kernels.tiles(points, max(1, CHUNK_TRIALS // n))}
+        plans = {n: make_tiles(points, Protocol, max(1, CHUNK_TRIALS // n))}
         accumulate = _kernels.accumulate_chunk
         sizes = []
 
@@ -354,7 +345,7 @@ class TestUfuncBuffer:
         ws = _kernels.Workspace()
         ws.fit(n)
         model.sample_gains(42, 0, n, out=ws.draws[:, :n])
-        stats = nan_stats(len(points))
+        stats = nan_stats(len(points) * len(Protocol))
         for tile in plans[n]:
             accumulate(tile, ws, n, stats)
         assert np.getbufsize() == default
@@ -366,7 +357,7 @@ class TestUfuncBuffer:
         before = np.getbufsize()
         points = sweep_points("d1", 3)
         cfg = make_cfg(trials=CHUNK_TRIALS + 1000)
-        assert estimate_metrics(points, cfg, workers=workers).ok.all()
+        assert estimate_metrics(points, Protocol, cfg, workers=workers).ok.all()
         assert np.getbufsize() == before
 
         def failing(tile, ws, n, out):
@@ -374,7 +365,7 @@ class TestUfuncBuffer:
 
         monkeypatch.setattr(_kernels, "accumulate_chunk", failing)
         with pytest.raises(RuntimeError, match="kernel failed"):
-            estimate_metrics(points, cfg, workers=workers)
+            estimate_metrics(points, Protocol, cfg, workers=workers)
         assert np.getbufsize() == before
 
 
@@ -396,14 +387,13 @@ class TestEstimates:
         # more threads than cores and a short switch interval: a workspace
         # shared between threads would mix the draws of different chunks
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
-        params, varz = setup_point()
-        points = [(params, varz, protocol) for protocol in Protocol]
+        points = [setup_point()]
         cfg = make_cfg(trials=8 * CHUNK_TRIALS + 5)
-        serial = list(estimate_metrics(points, cfg))
+        serial = list(estimate_metrics(points, Protocol, cfg))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = list(estimate_metrics(points, cfg, workers=4))
+            threaded = list(estimate_metrics(points, Protocol, cfg, workers=4))
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
@@ -478,8 +468,7 @@ class TestEstimates:
         exact = outage_x2_near_user(
             params.rho, params.p_n, params.p_f, psi2, psi3, d1 ** -params.v
         )
-        points = [(params, varz, protocol) for protocol in Protocol]
-        for est in estimate_metrics(points, make_cfg(trials=1_000_000, seed=7)):
+        for est in estimate_metrics([(params, varz)], Protocol, make_cfg(trials=1_000_000, seed=7)):
             p, se = est["op_x2_ccu"].mean, est["op_x2_ccu"].std_error
             assert se > 0.0
             assert abs(p - exact) <= 3.0 * se
@@ -501,8 +490,31 @@ class TestEstimates:
         with pytest.raises(ValueError):
             make_cfg(trials=0)
 
+    def test_protocol_names_run_as_their_protocols(self):
+        # a name is taken as its Protocol: "ehs-mrc" must not run as the baseline
+        params, varz = setup_point()
+        cfg = make_cfg(trials=1000)
+        named = list(estimate_metrics([(params, varz)], ("hs-sc", "ehs-mrc"), cfg))
+        assert named == list(estimate_metrics([(params, varz)], ORDERS[1], cfg))
+        assert named[1]["c_x1"].mean > 0.0 and named[0]["c_x1"].mean == 0.0
+
+    @pytest.mark.parametrize(
+        "protocols",
+        [(), ("mrc",), (None,), ("ehs-mrc", Protocol.EHS_MRC), (Protocol.HS_SC,) * 2],
+        ids=["none", "unknown name", "not a name", "repeated by name", "repeated"],
+    )
+    @pytest.mark.parametrize("points", [1, 0])
+    def test_bad_protocols_raise_before_any_chunk(self, protocols, points, monkeypatch):
+        # a repeated protocol would leave entries that no tile writes
+        def no_chunk(*args, **kwargs):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(model, "sample_gains", no_chunk)
+        with pytest.raises(ValueError):
+            estimate_metrics([setup_point()] * points, protocols, make_cfg(trials=10))
+
     def test_no_points_give_no_estimates(self):
-        estimates = estimate_metrics([], make_cfg(trials=10))
+        estimates = estimate_metrics([], Protocol, make_cfg(trials=10))
         assert list(estimates) == [] and estimates.mean.shape == (0, len(montecarlo.METRICS))
 
 
@@ -544,7 +556,7 @@ def finish_cases():
 
 
 FINISH_CASES = finish_cases()
-FINISH_POINT = (*setup_point(), Protocol.EHS_MRC)
+FINISH_POINT = setup_point()
 # rows at the edges of the finish: a ratio variance of -0.0, which
 # max(v, 0.0) passes, one below 0, which it clips, and one trial
 EDGE_CASES = {
@@ -589,7 +601,7 @@ def table(totals):
 def finish(total):
     """One total finished as a one-point call: {metric: Estimate}; raises its ValueError."""
     finished = montecarlo._finish(table([total]))
-    [est] = montecarlo.Estimates([FINISH_POINT], *finished)
+    [est] = montecarlo.Estimates([FINISH_POINT], (Protocol.EHS_MRC,), *finished)
     return est
 
 
@@ -737,21 +749,17 @@ class TestChunkScheduling:
         # the fake also stands in for the workspace, which _run_chunk allocates
         monkeypatch.setattr(montecarlo, "_run_chunk", fake_chunk)
         cfg = make_cfg(trials=2 * 10 ** 8)
-        one = [(*setup_point(), Protocol.EHS_MRC)]
-        # the 14 (point, protocol) pairs of the default sweep
-        sweep = [
-            (*setup_point(rho=10.0 ** (snr_db / 10.0)), protocol)
-            for snr_db in range(0, 35, 5)
-            for protocol in Protocol
-        ]
-        for points in (one, sweep):
+        one = ([setup_point()], (Protocol.EHS_MRC,))
+        # the 14 (point, protocol) entries of the default sweep
+        sweep = (snr_points(range(0, 35, 5)), Protocol)
+        for points, protocols in (one, sweep):
             tracemalloc.start()
             try:
-                estimates = list(estimate_metrics(points, cfg, workers=workers))
+                estimates = list(estimate_metrics(points, protocols, cfg, workers=workers))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert len(estimates) == len(points)
+            assert len(estimates) == len(points) * len(protocols)
             assert peak < 1 << 20
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -766,23 +774,21 @@ class TestChunkScheduling:
         import numpy.random  # noqa: F401
 
         row_bytes = CHUNK_TRIALS * 8
-        dense = [
-            (*setup_point(d1=0.01 + 0.002 * k), protocol)
-            for k in range(491)
-            for protocol in Protocol
-        ]
-        one = [(*setup_point(), Protocol.EHS_MRC)]
-        for points, trials in ((dense, 1000), (one, 10 ** 5)):
+        dense = ([setup_point(d1=0.01 + 0.002 * k) for k in range(491)], Protocol)
+        one = ([setup_point()], (Protocol.EHS_MRC,))
+        for (points, protocols), trials in ((dense, 1000), (one, 10 ** 5)):
             threads = min(workers, -(-trials // CHUNK_TRIALS))
             # an empty pool, so the call makes and counts its workspaces
             monkeypatch.setattr(montecarlo, "_POOL", [])
             tracemalloc.start()
             try:
-                estimates = list(estimate_metrics(points, make_cfg(trials=trials), workers=workers))
+                estimates = list(
+                    estimate_metrics(points, protocols, make_cfg(trials=trials), workers=workers)
+                )
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert len(estimates) == len(points)
+            assert len(estimates) == len(points) * len(protocols)
             assert peak < 14 * row_bytes * threads
 
     @pytest.mark.skipif(
@@ -795,17 +801,13 @@ class TestChunkScheduling:
         # fault in far more pages than the bound allows
         import resource
 
-        dense = [
-            (*setup_point(d1=0.01 + 0.002 * k), protocol)
-            for k in range(491)
-            for protocol in Protocol
-        ]
-        one = [(*setup_point(), Protocol.EHS_MRC)]
-        for points, trials in ((dense, 1000), (one, 10 ** 5)):
+        dense = ([setup_point(d1=0.01 + 0.002 * k) for k in range(491)], Protocol)
+        one = ([setup_point()], (Protocol.EHS_MRC,))
+        for (points, protocols), trials in ((dense, 1000), (one, 10 ** 5)):
             cfg = make_cfg(trials=trials)
-            assert estimate_metrics(points, cfg).ok.all()
+            assert estimate_metrics(points, protocols, cfg).ok.all()
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            assert estimate_metrics(points, cfg).ok.all()
+            assert estimate_metrics(points, protocols, cfg).ok.all()
             assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500, trials
 
     def test_pool_keeps_one_workspace_per_cpu_between_calls(self, monkeypatch):
