@@ -4,7 +4,7 @@ The unit of work is a tile: consecutive points of one call, evaluated on
 one chunk of n trials as a C-contiguous (points, n) block of cells, trial
 axis innermost, for all of the call's protocols in one pass. A value that
 every point of the tile shares is a float and one that varies is a
-(points, 1) column (see model.columns), so the protocols.py steps
+(points, 1) column (see model.span), so the protocols.py steps
 broadcast it over the cells; a one-point tile runs on 1-D (n,) rows.
 near_user and far_links run once per tile and far_user once per
 protocol, and the moments of the shared columns (c_x2, p_relay) and the
@@ -12,7 +12,7 @@ x2 outage count are taken once and reused for every protocol. Moments
 and counts are taken along each point's contiguous row, which gives the
 bits of a 1-D pass over that point alone, so a point's statistics do not
 depend on the tile it sits in. The kernel writes them in place into the
-chunk's statistic arrays, which have one row per (point, protocol) of
+chunk's one statistics array, which has one row per (point, protocol) of
 the whole call, at the rows the tile covers.
 
 Every array of a tile lives in a Workspace, which each chunk borrows
@@ -34,10 +34,13 @@ from . import model
 from .protocols import Protocol, Thresholds, far_links, far_user, near_user, thresholds
 
 
+STATISTICS = 14  # columns of a chunk's statistics, see accumulate_chunk
+
+
 class Tile(NamedTuple):
     """Consecutive points of one call, run by one kernel pass for all the call's protocols.
 
-    params and varz are the points' model.columns, each varying value a
+    params and varz are the points' model.span, each varying value a
     (points, 1) column; thr, thresholds(params), takes the same form.
     rows is the tile's slice of the call's (point, protocol) entries:
     points * len(protocols) of them, each point's protocols in turn.
@@ -51,20 +54,19 @@ class Tile(NamedTuple):
     rows: slice
 
 
-def tiles(params, varz, protocols: tuple[Protocol, ...], max_points: int) -> list[Tile]:
+def tiles(params, varz, points, protocols: tuple[Protocol, ...], max_points) -> list[Tile]:
     """The call's points, in order, as tiles of at most max_points points.
 
-    params and varz are the model.field_table of the call's SystemParams
-    and ChannelVariances, and every point runs every one of protocols. A
-    tile's thresholds are those of its params, so an overflow raises here.
+    params and varz are one point, or the namespaces of a grid of points
+    (see model.grid_points), and every point runs every one of protocols.
+    A tile's thresholds are those of its params, so an overflow raises here.
     """
     out = []
-    for lo in range(0, params.shape[1], max_points):
-        hi = min(lo + max_points, params.shape[1])
-        p = model.columns(model.SystemParams, params[:, lo:hi, None])
-        v = model.columns(model.ChannelVariances, varz[:, lo:hi, None])
+    for lo in range(0, points, max_points):
+        hi = min(lo + max_points, points)
+        p = model.span(params, lo, hi)
         rows = slice(lo * len(protocols), hi * len(protocols))
-        out.append(Tile(hi - lo, p, thresholds(p), v, protocols, rows))
+        out.append(Tile(hi - lo, p, thresholds(p), model.span(varz, lo, hi), protocols, rows))
     return out
 
 
@@ -146,16 +148,16 @@ def _moments(x, n: int, ws, dev: int, squares=None):
 def accumulate_chunk(tile: Tile, ws: Workspace, n: int, out):
     """Statistics of a tile on the first n draws, written into out; returns (cells,).
 
-    cells is tile.points * n. out is the chunk's (means, m2, com, counts)
-    with one row per (point, protocol) of the call: means and m2 (rows, 5),
-    com (rows,) and counts (rows, 3) int64. The tile writes its rows,
-    tile.rows, viewed as (points, protocols, k) in the call's protocol
-    order. The gains are the workspace draws scaled by the variances.
-    Continuous metric order: c_x1, c_x2, c_x3, esc_total, p_relay; com is
-    the esc_total/p_relay co-moment. Count order: out_x1, out_x2_ccu,
-    out_x3_ceu. Moments use the two-pass form over the whole chunk, and
-    a row equals that of a one-point tile with its protocol alone bit
-    for bit.
+    cells is tile.points * n. out is the chunk's (rows, STATISTICS) array,
+    one row per (point, protocol) of the call; the tile writes its rows,
+    tile.rows, viewed as (points, protocols, STATISTICS) in the call's
+    protocol order. The gains are the workspace draws scaled by the
+    variances. Columns: the means (0-4) and sums of squared deviations
+    (5-9) of c_x1, c_x2, c_x3, esc_total and p_relay, the esc_total/p_relay
+    co-moment (10), and the outage counts (11-13) of x1, x2 at the near
+    user and x3 at the far user, exact as floats below 2^53. Moments use
+    the two-pass form over the whole chunk, and a row equals that of a
+    one-point tile with its protocol alone bit for bit.
     """
     points = tile.points
     params, thr, varz = tile.params, tile.thr, tile.varz
@@ -177,10 +179,9 @@ def accumulate_chunk(tile: Tile, ws: Workspace, n: int, out):
     # goes last, when the links are dead, and takes row 6, whose relayed
     # SNR already has one value per cell wherever a sweep's does
     order = sorted(enumerate(tile.protocols), key=lambda entry: entry[1] is Protocol.EHS_MRC)
-    tables = [a[tile.rows].reshape(points, len(tile.protocols), -1) for a in out]
+    table = out[tile.rows].reshape(points, len(tile.protocols), STATISTICS)
     for j, protocol in order:
         c_x1, c_x3, out_x1, out_x3 = far_user(params, thr, protocol, links, decoded_x3, ws)
-        counts = [_count(out_x1, n), count_x2, _count(out_x3, n)]
         k = 6 if isinstance(c_x1, np.ndarray) else 2
         shape = np.broadcast_shapes(np.shape(c_x1), c_x2.shape, c_x3.shape)
         esc = np.add(c_x1, c_x2, out=ws.row(k, shape))
@@ -194,12 +195,10 @@ def accumulate_chunk(tile: Tile, ws: Workspace, n: int, out):
         mean_esc, m2_esc, dev_esc = _moments(esc, n, ws, k, 3)
         com = _sum(np.multiply(dev_esc, dev_p, out=dev_esc))
         stats = (
-            [mean_x1, mean_x2, mean_x3, mean_esc, mean_p],
-            [m2_x1, m2_x2, m2_x3, m2_esc, m2_p],
-            [com],
-            counts,
+            mean_x1, mean_x2, mean_x3, mean_esc, mean_p,
+            m2_x1, m2_x2, m2_x3, m2_esc, m2_p,
+            com, _count(out_x1, n), count_x2, _count(out_x3, n),
         )
-        for table, values in zip(tables, stats):
-            for i, value in enumerate(values):
-                table[:, j, i] = value
+        for i, value in enumerate(stats):
+            table[:, j, i] = value
     return (points * n,)

@@ -9,9 +9,10 @@ evaluated exactly as defined here and their gap to simulation is reported,
 never asserted away.
 
 Every form takes one point, as SystemParams and ChannelVariances, or the
-floats and arrays over many points that model.columns gives in their place,
-with the same bits per point (see specfun.elementwise); with arrays, one
-point that has no value raises for all.
+namespaces of floats and arrays over many points that model.grid_points
+gives in their place, with the same bits per point (see
+specfun.elementwise); with arrays, one point that has no value raises for
+all.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, model, montecarlo
-from .model import ChannelVariances, SystemParams
+from .model import SystemParams
 from .montecarlo import EstimatorConfig
 from .protocols import Protocol, thresholds
 
@@ -201,7 +201,7 @@ def run_sweep(
 
     Variances and thresholds are re-derived at every point, so sweeping d1
     or alpha changes them consistently. For SNR sweeps the grid is in dB.
-    rows holds the estimates' arrays and the closed forms' columns. With
+    rows holds the estimates' arrays and the closed forms' values. With
     validate, reports holds compare_with_analytic's report for each
     protocol at params, the base point, estimated after the grid in the
     same call, so on the same draws. Grid errors come first, in row order.
@@ -214,35 +214,30 @@ def run_sweep(
     for p_end in _grid_params(spec, params, (grid[0], grid[-1])):
         model.variances_from_distances(p_end)
         thresholds(p_end)
-    grid_params, grid_varz = model.grid_points(params, *_swept(spec, grid))
-    # one call draws each chunk once for every point and runs all of
-    # spec.protocols at each, so a point's protocols share one kernel pass
-    points = list(zip(grid_params, grid_varz))
+    key, swept = _swept(spec, grid)
     base = []
     if validate:
         # the base point's own checks run now, but its error is raised after the grid's
         try:
             base_varz = model.variances_from_distances(params)
             thresholds(params)
-            base = [(params, base_varz)]
+            base = [getattr(params, key)]
         except ValueError as exc:
             base_error = exc
-    call = montecarlo.estimate_metrics(points + base, spec.protocols, cfg, workers=workers)
-    on_grid = len(points) * len(spec.protocols)
+    # one call, the base point last: each chunk drawn once, a point's protocols in one pass
+    grid_params, grid_varz = model.grid_points(params, key, swept + base)
+    call = montecarlo.estimate_metrics(grid_params, grid_varz, spec.protocols, cfg, workers=workers)
+    points = len(swept) + len(base)
     # every estimate is checked at once, and the closed forms run once, on
-    # the grid's columns, where an overflow leaves a value a form raises on;
-    # either failure leads to the walk below. Each row takes its form (NaN
-    # where none) and the estimate column of its protocol's entry
+    # the grid's namespaces, where an overflow leaves a value a form raises
+    # on; either failure leads to the walk below. Each row takes its form
+    # (NaN where none) and the estimate column of its protocol's entry
     per_row = []
     try:
-        if not call.ok[:on_grid].all():
+        if not call.ok.all():
             raise ValueError("undefined estimate")
         with np.errstate(all="ignore"):
-            grid_columns = (
-                model.columns(SystemParams, model.field_table(grid_params)),
-                model.columns(ChannelVariances, model.field_table(grid_varz)),
-            )
-            tables = analytic.closed_forms(*grid_columns, spec.protocols)
+            tables = analytic.closed_forms(grid_params, grid_varz, spec.protocols)
             for entry, (protocol, forms) in enumerate(zip(spec.protocols, tables)):
                 per_row += [
                     ((protocol.value, metric, symbol, metric_id in forms),
@@ -250,26 +245,27 @@ def run_sweep(
                     for metric_id, metric, symbol, column in _row_layout(spec, protocol)
                 ]
     except ValueError:
-        # walking the entries in row order raises the first error, an
-        # estimate's or a closed form's, as point by point
-        for p_point, varz in points:
+        # walking the entries in row order, the base point's last, raises the
+        # first error, an estimate's or a closed form's, as point by point
+        for k in range(points):
+            point = model.span(grid_params, k, k + 1), model.span(grid_varz, k, k + 1)
             for protocol in spec.protocols:
                 next(call)
-                analytic.closed_forms(p_point, varz, (protocol,))
+                analytic.closed_forms(*point, (protocol,))
         raise
     layout, analytics, entries, columns = zip(*per_row)
-    table = np.empty((len(grid), len(layout), 3))
+    table = np.empty((points, len(layout), 3))
     for row, value in enumerate(analytics):
         table[:, row, 0] = value
-    estimates = np.stack([call.mean, call.std_error], axis=-1)[:on_grid]
-    table[:, :, 1:] = estimates.reshape(len(grid), len(spec.protocols), -1, 2)[:, entries, columns]
-    rows = SweepRows(spec.variable, grid, layout, table, cfg.trials, cfg.seed)
+    estimates = np.stack([call.mean, call.std_error], axis=-1)
+    table[:, :, 1:] = estimates.reshape(points, len(spec.protocols), -1, 2)[:, entries, columns]
+    rows = SweepRows(spec.variable, grid, layout, table[: len(grid)], cfg.trials, cfg.seed)
     if validate and not base:
         raise base_error
+    on_grid = len(grid) * len(spec.protocols)
     return rows, [
-        montecarlo.compare_with_analytic(*point, protocol, call.point(on_grid + k))
-        for point in base
-        for k, protocol in enumerate(spec.protocols)
+        montecarlo.compare_with_analytic(params, base_varz, protocol, call.point(on_grid + k))
+        for k, protocol in enumerate(spec.protocols) if base
     ]
 
 

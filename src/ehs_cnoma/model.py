@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import _philox
+from .specfun import elementwise
 
 
 @dataclass(frozen=True)
@@ -99,45 +100,42 @@ def variances_from_distances(params: SystemParams) -> ChannelVariances:
         ) from None
 
 
-def _path_losses(params: SystemParams) -> dict[str, float]:
-    d1, d2, v = params.d1, params.d2, params.v
-    return {"lambda_ccu": d1 ** -v, "lambda_ceu": d2 ** -v, "lambda_relay": (d2 - d1) ** -v}
+# a Python float power at each point of a grid, so each has the bits of its own point
+_pow = elementwise(operator.pow)
 
 
-def grid_points(params: SystemParams, field: str, values) -> tuple[list, list]:
-    """(params, variances) with field set to each value, each equal to the constructor's, unchecked.
+def _path_losses(params) -> dict:
+    d1, d2, v = params.d1, params.d2, -params.v
+    return {"lambda_ccu": _pow(d1, v), "lambda_ceu": _pow(d2, v), "lambda_relay": _pow(d2 - d1, v)}
 
-    For the points of a grid whose checks passed (see cli.run_sweep).
+
+def grid_points(params: SystemParams, field: str, values) -> tuple:
+    """The (params, varz) namespaces of a grid: params with field set to each of values.
+
+    The swept field, and each variance that depends on it, is a float64
+    array with one value per point; every other field keeps params' float.
+    Each point has the bits of the constructors' values, without their
+    checks: for the points of a grid whose checks passed (see cli.run_sweep).
     """
-    points = [_unchecked(SystemParams, {**vars(params), field: value}) for value in values]
-    if field in ("d1", "d2", "v"):
-        return points, [_unchecked(ChannelVariances, _path_losses(point)) for point in points]
-    return points, [variances_from_distances(params)] * len(points)
+    grid = SimpleNamespace(**{**vars(params), field: np.array(values, dtype=np.float64)})
+    return grid, SimpleNamespace(**_path_losses(grid))
 
 
-def _unchecked(cls, values: dict):
-    instance = object.__new__(cls)
-    vars(instance).update(values)
-    return instance
+def span(values, lo: int, hi: int) -> SimpleNamespace:
+    """Points [lo, hi) of one point or of a grid's namespace (see grid_points).
 
-
-def field_table(objects) -> np.ndarray:
-    """The fields of SystemParams or ChannelVariances objects: a (fields, points) float64 table."""
-    names = [field.name for field in fields(objects[0])]
-    return np.array(list(map(attrgetter(*names), objects)), dtype=np.float64).T.copy()
-
-
-def columns(cls, table: np.ndarray) -> SimpleNamespace:
-    """The fields of cls from a field_table, or any view of its points: a float where every
-    point holds the bits, else the field's row of the view, shaped as the points are.
-
-    Only bits count as shared, so 0.0 and -0.0 stay apart.
+    Each field is a float where all the points hold its bits, else a
+    (points, 1) column; only bits count, so 0.0 and -0.0 stay apart.
     """
-    bits = table.view(np.int64)
-    shared = (bits == bits[:, :1]).all(axis=1).ravel().tolist()
-    first = table[:, :1].ravel().tolist()
-    rows = zip((field.name for field in fields(cls)), first, shared, table)
-    return SimpleNamespace(**{name: value if same else row for name, value, same, row in rows})
+    out = {}
+    for name, value in vars(values).items():
+        if isinstance(value, np.ndarray):
+            value = value[lo:hi]
+            bits = value.view(np.int64)
+            out[name] = float(value[0]) if (bits == bits[0]).all() else value[:, None]
+        else:
+            out[name] = float(value)
+    return SimpleNamespace(**out)
 
 
 def sample_gains(seed: int, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:

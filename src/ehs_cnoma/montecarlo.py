@@ -5,8 +5,8 @@ a workspace it borrows from a pool kept between calls, and reduced to
 counts and two-pass moments at every point of the call, for every
 protocol of the call. The kernel takes the points a tile at a time:
 consecutive points, up to one chunk's worth of (point, trial) cells, with
-all the call's protocols in one pass. A chunk's statistics are arrays
-with one row per (point, protocol) of the call, and the chunks fold into
+all the call's protocols in one pass. A chunk's statistics are one array
+with a row per (point, protocol) of the call, and the chunks fold into
 the call's running total in index order with the exact count-weighted
 update, one array operation for every row at once. The total is finished
 into estimates the same way, once per call. A (point, protocol) result
@@ -24,7 +24,7 @@ import os
 import sys
 import threading
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -95,21 +95,17 @@ def _run_chunk(plans, cfg, lo, hi):
     plans maps a chunk length to its tiles (see _chunk_parts). The chunk
     borrows a workspace from the pool, or makes one, and puts it back
     when its tiles are done; the pool keeps at most one per CPU. Returns
-    (n, means, m2, co-moment, counts) with one row per (point, protocol),
-    in call order: allocated once per chunk, each tile writes its own rows
-    into them (see _kernels.accumulate_chunk). The tiles run with the
-    ufunc buffer cut to n rounded down to a multiple of 16 (at most the size
-    in force, set back even on a raise), as numpy copies every operand of a
-    broadcast through a buffer longer than a row. The bits stay the same.
+    (n, statistics), one row per (point, protocol) in call order, which
+    each tile writes in place (see _kernels.accumulate_chunk). The tiles
+    run with the ufunc buffer cut to n rounded down to a multiple of 16 (at
+    most the size in force, set back even on a raise), with the same bits,
+    as numpy copies every operand of a broadcast through a longer buffer.
     """
     n = hi - lo
     with _POOL_LOCK:
         ws = _POOL.pop() if _POOL else _kernels.Workspace()
     ws.fit(n)
-    rows = plans[n][-1].rows.stop
-    stats = (
-        np.empty((rows, 5)), np.empty((rows, 5)), np.empty(rows), np.empty((rows, 3), np.int64)
-    )
+    stats = np.empty((plans[n][-1].rows.stop, _kernels.STATISTICS))
     # an overflow leaves a non-finite moment, which _finish reports as one
     # error rather than as a stream of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -123,23 +119,22 @@ def _run_chunk(plans, cfg, lo, hi):
     with _POOL_LOCK:
         _POOL.append(ws)
         del _POOL[os.cpu_count() or 1 :]
-    return (n, *stats)
+    return n, stats
 
 
-def _chunk_parts(points, protocols, cfg, workers):
-    """Each chunk's per-entry moments in index order, with at most 2 * threads chunks in flight.
+def _chunk_parts(params, varz, points, protocols, cfg, workers):
+    """Each chunk's per-entry statistics in index order, with at most 2 * threads chunks in flight.
 
     A chunk of n trials runs the points as tiles (see _kernels.tiles) of up
     to max(1, CHUNK_TRIALS // n) points, so no tile holds more cells than a
-    full chunk. The points' values are read once per call; a call has at
-    most two chunk lengths, and each gets its tiles, thresholds included,
-    once, before any chunk runs.
+    full chunk. A call has at most two chunk lengths, and each gets its
+    tiles, thresholds included, once, before any chunk runs.
     """
-    params, varz = map(model.field_table, zip(*points))
     starts = range(0, cfg.trials, CHUNK_TRIALS)
     lengths = {min(CHUNK_TRIALS, cfg.trials - lo) for lo in (starts[0], starts[-1])}
     plans = {
-        n: _kernels.tiles(params, varz, protocols, max(1, CHUNK_TRIALS // n)) for n in lengths
+        n: _kernels.tiles(params, varz, points, protocols, max(1, CHUNK_TRIALS // n))
+        for n in lengths
     }
     threads = min(workers, os.cpu_count() or 1, len(starts))
 
@@ -163,17 +158,17 @@ def _chunk_parts(points, protocols, cfg, workers):
 
 
 def _merge(a, b):
-    # exact count-weighted pooling of (n, means, m2, co-moment, counts), all
-    # rows at once: every row has the chunk's n, so w and nb / n are shared
-    na, mean_a, m2_a, com_a, cnt_a = a
-    nb, mean_b, m2_b, com_b, cnt_b = b
+    # exact count-weighted pooling of (n, statistics), all rows at once: every row
+    # has the chunk's n, so w and nb / n are shared; past the means, columns add
+    (na, stats_a), (nb, stats_b) = a, b
     n = na + nb
-    d = mean_b - mean_a
+    d = stats_b[:, :5] - stats_a[:, :5]
     w = na * nb / n
-    mean = mean_a + d * (nb / n)
-    m2 = m2_a + m2_b + d * d * w
-    com = com_a + com_b + d[:, 3] * d[:, 4] * w
-    return n, mean, m2, com, cnt_a + cnt_b
+    stats = stats_a + stats_b
+    stats[:, :5] = stats_a[:, :5] + d * (nb / n)
+    stats[:, 5:10] += d * d * w
+    stats[:, 10] += d[:, 3] * d[:, 4] * w
+    return n, stats
 
 
 def _finish(total):
@@ -185,7 +180,8 @@ def _finish(total):
     bits of the same formula in Python floats: numpy's + - * / and sqrt
     round as they do, and counts / n converts exactly below 2^53.
     """
-    n, means, m2, com, counts = total
+    n, stats = total
+    means, m2, com, counts = stats[:, :5], stats[:, 5:10], stats[:, 10], stats[:, 11:]
     mean = np.empty((len(means), len(METRICS)))
     # one trial leaves no spread to estimate, so its standard errors stay 0
     std_error = np.zeros((len(means), len(METRICS)))
@@ -215,7 +211,7 @@ def _finish(total):
         # no ratio where the mean relay power is 0
         undefined = mean_p == 0.0
         mean[undefined, 8] = std_error[undefined, 8] = math.nan
-        moments_ok = np.isfinite(means).all(axis=1) & np.isfinite(m2).all(axis=1) & np.isfinite(com)
+        moments_ok = np.isfinite(stats[:, :11]).all(axis=1)
         ee_ok = np.isfinite(mean[:, 8]) & np.isfinite(std_error[:, 8])
     return mean, std_error, moments_ok, ee_ok
 
@@ -229,38 +225,37 @@ class Estimates(Iterator):
     its moments overflow or its energy efficiency is undefined.
     """
 
-    def __init__(self, points, protocols, mean, std_error, moments_ok, ee_ok):
+    def __init__(self, params, varz, protocols, mean, std_error, moments_ok, ee_ok):
         self.mean, self.std_error, self.ok = mean, std_error, moments_ok & ee_ok
-        self._points, self._per_point = points, len(protocols)
-        self._moments_ok, self._ee_ok = moments_ok, ee_ok
+        self._params, self._varz, self._per_point = params, varz, len(protocols)
+        self._moments_ok = moments_ok
         self._order = iter(range(len(mean)))
 
     def __next__(self) -> dict[str, Estimate]:
         return self.point(next(self._order))
 
     def point(self, k: int) -> dict[str, Estimate]:
-        params, varz = self._points[k // self._per_point]
-        if not self._moments_ok[k]:
-            where = analytic._describe_point(params, varz)
-            raise ValueError(f"simulated moments overflow at {where}")
         means = self.mean[k].tolist()
-        if not self._ee_ok[k]:
-            raise analytic._undefined_ee(params, varz, means[4])
+        if not self.ok[k]:
+            i = k // self._per_point
+            at = model.span(self._params, i, i + 1), model.span(self._varz, i, i + 1)
+            if not self._moments_ok[k]:
+                raise ValueError(f"simulated moments overflow at {analytic._describe_point(*at)}")
+            raise analytic._undefined_ee(*at, means[4])
         return dict(zip(METRICS, map(Estimate, means, self.std_error[k].tolist())))
 
 
 def estimate_metrics(
-    points: Iterable[tuple[SystemParams, ChannelVariances]],
-    protocols: Iterable[Protocol],
-    cfg: EstimatorConfig,
-    workers: int = 1,
+    params: SystemParams, varz: ChannelVariances, protocols: Sequence[Protocol],
+    cfg: EstimatorConfig, workers: int = 1,
 ) -> Estimates:
     """Monte-Carlo estimates of every capacity, outage and power metric, per point and protocol.
 
-    A point is (params, varz), and every point runs each of protocols,
-    taken as Protocol(x): one or more, none repeated. Each chunk of trials
-    is drawn once and evaluated at every point, so all points share their
-    draws, and each (point, protocol) estimate is the one a call with that
+    params and varz are one point, or a grid's namespaces as model.grid_points
+    gives them: each field a float or a 1-D float64 array with one value per
+    point. Every point runs each of protocols, a sequence of Protocol(x): one
+    or more, none repeated. Each chunk of trials is drawn once for all
+    points, and each (point, protocol) estimate is the one a call with that
     point and protocol alone gives. A chunk of n trials runs consecutive
     points as tiles of up to max(1, CHUNK_TRIALS // n) points, one kernel
     pass each for all the protocols. A tile's thresholds are derived before
@@ -279,19 +274,28 @@ def estimate_metrics(
     order. Worker threads are capped at the CPU count and the chunk count;
     the result does not depend on them.
     """
+    # a name or a member alone would be taken as a sequence of letters or fail to iterate
+    if isinstance(protocols, (str, Protocol)):
+        raise ValueError(f"need a sequence of protocols, got {protocols!r}")
     # the kernel tests `is Protocol.EHS_MRC`, so a name must become its member
     protocols = tuple(map(Protocol, protocols))
     if not protocols or len(set(protocols)) < len(protocols):
         raise ValueError(f"need one or more distinct protocols, got {[p.value for p in protocols]}")
-    points = list(points)
+    # the points are the common length of the arrays, or 1 where there are none
+    arrays = [v for ns in (params, varz) for v in vars(ns).values() if isinstance(v, np.ndarray)]
+    forms = sorted({f"{a.dtype}{a.shape}" for a in arrays})
+    if len(forms) > 1 or any(a.ndim != 1 or a.dtype != np.float64 for a in arrays):
+        raise ValueError(f"need floats or 1-D float64 arrays of one length, got {forms}")
+    points = len(arrays[0]) if arrays else 1
     if not points:
         empty = [np.empty((0, len(METRICS)))] * 2 + [np.empty(0, bool)] * 2
-        return Estimates(points, protocols, *empty)
+        return Estimates(params, varz, protocols, *empty)
     # a left fold in index order, so every worker count gives the same bytes;
     # an overflow in the fold, as in a chunk, is left for _finish to report
     with np.errstate(over="ignore", invalid="ignore"):
-        total = functools.reduce(_merge, _chunk_parts(points, protocols, cfg, workers))
-    return Estimates(points, protocols, *_finish(total))
+        parts = _chunk_parts(params, varz, points, protocols, cfg, workers)
+        total = functools.reduce(_merge, parts)
+    return Estimates(params, varz, protocols, *_finish(total))
 
 
 def _row(metric: str, form: AnalyticReport, est: Estimate) -> ValidationRow:

@@ -6,6 +6,7 @@ package, so that agreement between the two is meaningful evidence.
 """
 
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -197,3 +198,19 @@ def neg_ei_exp(u: float) -> float:
         return _e1_exp_cf(w)
     # moderate w: series for E1(w) = -Ei(-w), then the exponential is tame
     return -_ei_series(-w) * math.exp(w)
+
+
+def stacked(points):
+    """The (params, varz) grid namespaces of a non-empty list of (params, varz) point objects.
+
+    Every field becomes a float64 array with one value per point, the form
+    a grid takes in estimate_metrics and closed_forms, built here field by
+    field rather than through model.grid_points.
+    """
+    return tuple(
+        SimpleNamespace(**{
+            name: np.array([vars(obj)[name] for obj in objects], dtype=np.float64)
+            for name in vars(objects[0])
+        })
+        for objects in zip(*points)
+    )

@@ -7,7 +7,7 @@ import pytest
 from ehs_cnoma import analytic, model, specfun
 from ehs_cnoma.analytic import Exactness
 from ehs_cnoma.protocols import Protocol, thresholds
-from oracles import expected_log1p_exponential
+from oracles import expected_log1p_exponential, stacked
 
 LN2 = math.log(2.0)
 FORM_FUNCTIONS = (
@@ -362,15 +362,12 @@ class TestArrayForms:
     def test_arrays_over_points_match_each_point_bit_for_bit(self, grid):
         params = [model.SystemParams(**kwargs) for kwargs in ARRAY_GRIDS[grid]]
         varz = [model.variances_from_distances(p) for p in params]
-        columns = (
-            model.columns(model.SystemParams, model.field_table(params)),
-            model.columns(model.ChannelVariances, model.field_table(varz)),
-        )
+        columns = stacked(list(zip(params, varz)))
         if grid == "snr-3200":
             assert any(p.rho * v.lambda_ceu == 0.0 for p, v in zip(params, varz))
 
         def same_bits(array, values):
-            # a value every point shares comes back as one float
+            # a form that reads no array gives one float
             array = np.broadcast_to(array, len(values))
             assert array.tobytes() == np.array(values, dtype=np.float64).tobytes()
 

@@ -31,6 +31,7 @@ from ehs_cnoma.cli import (
 )
 from ehs_cnoma.montecarlo import EstimatorConfig
 from ehs_cnoma.protocols import Protocol, thresholds
+from oracles import stacked
 
 SMALL = ["--trials", "2000", "--stop", "5.0"]
 
@@ -245,12 +246,13 @@ class TestRunSweep:
         points = [(p, model.variances_from_distances(p)) for p in grid]
         pairs = [(value, protocol) for value in spec.values() for protocol in spec.protocols]
         alone = [
-            next(montecarlo.estimate_metrics([point], (protocol,), cfg))
+            next(montecarlo.estimate_metrics(*point, (protocol,), cfg))
             for point in points
             for protocol in spec.protocols
         ]
+        namespaces = stacked(points)
         for workers in (1, 2):
-            call = montecarlo.estimate_metrics(points, spec.protocols, cfg, workers=workers)
+            call = montecarlo.estimate_metrics(*namespaces, spec.protocols, cfg, workers=workers)
             assert list(call) == alone
             rows, _ = run_sweep(spec, params, cfg, workers=workers)
             by_key = {
@@ -333,25 +335,33 @@ class TestRunSweep:
             run_sweep(spec, params, cfg, workers=1), run_sweep(spec, params, cfg, workers=3)
         )
 
-    def test_validate_reports_the_base_point_from_the_same_call(self):
-        # the base point (15 dB) is not on the grid; its entries follow the
-        # grid's in the sweep's one call, and a point's estimate is the one a
-        # call with that point alone gives, at any worker count
-        spec, params, _ = self.small_inputs(start=0.0, stop=10.0)
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "variable, start, stop, step",
+        [("snr_db", 0.0, 10.0, 5.0), ("alpha", 0.1, 0.2, 0.1), ("d1", 0.2, 0.4, 0.1)],
+    )
+    def test_validate_reports_the_base_point_from_the_same_call(
+        self, variable, start, stop, step, workers
+    ):
+        # the base point (15 dB, alpha 0.3, d1 0.5) is not on the grid; it
+        # joins the sweep's one call as one more value of the swept field, so
+        # on a d1 grid its variances come from the call's arrays. A point's
+        # estimate is the one a call with that point alone gives, at any
+        # worker count
+        spec, params, _ = self.small_inputs(variable=variable, start=start, stop=stop, step=step)
         cfg = EstimatorConfig(trials=montecarlo.CHUNK_TRIALS + 1000, seed=42)
         varz = model.variances_from_distances(params)
         alone = [
             montecarlo.compare_with_analytic(
                 params, varz, protocol,
-                next(montecarlo.estimate_metrics([(params, varz)], (protocol,), cfg)),
+                next(montecarlo.estimate_metrics(params, varz, (protocol,), cfg)),
             )
             for protocol in spec.protocols
         ]
         plain, _ = run_sweep(spec, params, cfg)
-        for workers in (1, 2):
-            assert_same_sweep(
-                run_sweep(spec, params, cfg, workers=workers, validate=True), (plain, alone)
-            )
+        assert_same_sweep(
+            run_sweep(spec, params, cfg, workers=workers, validate=True), (plain, alone)
+        )
 
 
 @st.composite
@@ -391,9 +401,10 @@ class TestGridEnds:
     @given(checked_grids())
     def test_interior_points_are_the_constructors(self, grid):
         # run_sweep checks the two grid ends and builds the points between
-        # without the constructors' checks: each must pass them, compare
-        # equal to the point the constructor builds, and carry the bits of
-        # its variances
+        # without the constructors' checks: each must pass them, and the
+        # grid's namespaces must carry, at every point, the bits of the
+        # params and variances the constructors build there; a field is an
+        # array with one value per point or a float that every point holds
         spec, params = grid
         values = spec.values()
         try:
@@ -404,23 +415,26 @@ class TestGridEnds:
             assume(False)
         seen = []
 
-        def spy(points, protocols, cfg, workers=1):
-            seen.extend(points)
+        def spy(params, varz, protocols, cfg, workers=1):
+            seen.extend((params, varz))
             assert protocols == spec.protocols
             raise StopSweep
 
         with mock.patch.object(montecarlo, "estimate_metrics", spy), pytest.raises(StopSweep):
             run_sweep(spec, params, EstimatorConfig(trials=1, seed=1))
-        assert len(seen) == len(values)
-        for (point, varz), rebuilt in zip(seen, cli._grid_params(spec, params, values)):
-            rebuilt_varz = model.variances_from_distances(rebuilt)
-            thresholds(rebuilt)
-            assert type(point) is model.SystemParams and point == rebuilt
-            assert type(varz) is model.ChannelVariances
-            assert (
-                np.array(dataclasses.astuple(varz)).tobytes()
-                == np.array(dataclasses.astuple(rebuilt_varz)).tobytes()
-            )
+
+        rebuilt = cli._grid_params(spec, params, values)
+        rebuilt_varz = [model.variances_from_distances(p) for p in rebuilt]
+        for p in rebuilt:
+            thresholds(p)
+        for namespace, objects in zip(seen, (rebuilt, rebuilt_varz)):
+            names = [field.name for field in dataclasses.fields(objects[0])]
+            assert sorted(vars(namespace)) == sorted(names)
+            for name in names:
+                value = getattr(namespace, name)
+                assert type(value) is float or value.shape == (len(values),), name
+                want = np.array([getattr(obj, name) for obj in objects], dtype=np.float64)
+                assert np.broadcast_to(value, len(values)).tobytes() == want.tobytes(), name
 
 
 def plain_csv(rows) -> str:
@@ -796,7 +810,7 @@ class TestMain:
             varz = model.variances_from_distances(p)
             kinds = {}
             try:
-                next(montecarlo.estimate_metrics([(p, varz)], (Protocol.EHS_MRC,), cfg))
+                next(montecarlo.estimate_metrics(p, varz, (Protocol.EHS_MRC,), cfg))
             except ValueError as exc:
                 kinds["estimate"] = str(exc)
             try:

@@ -145,16 +145,15 @@ class TestCounterStream:
         # estimates, at 1 and 2 workers
         params = model.SystemParams(rho=10.0 ** 1.5)
         varz = model.variances_from_distances(params)
-        points = [(params, varz)]
         cfg = EstimatorConfig(trials=2 * CHUNK_TRIALS + 4099, seed=2 ** 64 - 5)
-        expected = list(estimate_metrics(points, Protocol, cfg, workers=workers))
+        expected = list(estimate_metrics(params, varz, Protocol, cfg, workers=workers))
 
         def from_raw(seed, start, stop, out=None):
             out[...] = raw_lanes(seed, start, stop - start)
             return out
 
         monkeypatch.setattr(_philox, "uniform_lanes", from_raw)
-        assert list(estimate_metrics(points, Protocol, cfg, workers=workers)) == expected
+        assert list(estimate_metrics(params, varz, Protocol, cfg, workers=workers)) == expected
 
     def test_uniform_range(self):
         u = uniform_lanes(7, 0, 4096)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import finish_reference, outage_x2_near_user
+from oracles import finish_reference, outage_x2_near_user, stacked
 
 from ehs_cnoma import _kernels, analytic, model, montecarlo, protocols
 from ehs_cnoma.montecarlo import CHUNK_TRIALS, EstimatorConfig, estimate_metrics
@@ -31,24 +31,29 @@ ORDERS = [tuple(Protocol), tuple(reversed(Protocol))]
 
 
 def estimate(params, varz, cfg, protocol, workers=1):
-    [est] = estimate_metrics([(params, varz)], (protocol,), cfg, workers=workers)
+    [est] = estimate_metrics(params, varz, (protocol,), cfg, workers=workers)
     return est
 
 
 def make_tiles(points, protocols, max_points):
     """The tiles of a call of (params, varz) points, as estimate_metrics makes them."""
-    return _kernels.tiles(*map(model.field_table, zip(*points)), tuple(protocols), max_points)
+    return _kernels.tiles(*stacked(points), len(points), tuple(protocols), max_points)
 
 
 def chunk(params, varz, cfg, lo, hi, protocol=Protocol.EHS_MRC):
-    """A one-point call's chunk statistics: (n, means, m2, com, counts) with one row."""
+    """A one-point call's chunk statistics: (n, statistics) with one row."""
     plans = {hi - lo: make_tiles([(params, varz)], (protocol,), 1)}
     return montecarlo._run_chunk(plans, cfg, lo, hi)
 
 
+def split(row):
+    """A row of chunk statistics as (means, m2, com, counts)."""
+    return row[:5], row[5:10], row[10], row[11:]
+
+
 def first_row(total):
-    n, means, m2, com, counts = total
-    return n, means[0], m2[0], com[0], counts[0]
+    n, stats = total
+    return n, *split(stats[0])
 
 
 def nan_workspace():
@@ -67,13 +72,8 @@ def nan_workspace():
 
 
 def nan_stats(rows):
-    """A chunk's (means, m2, com, counts) for rows entries: NaN, and -1 for the counts."""
-    return (
-        np.full((rows, 5), np.nan),
-        np.full((rows, 5), np.nan),
-        np.full(rows, np.nan),
-        np.full((rows, 3), -1, np.int64),
-    )
+    """A chunk's statistics for rows entries, all NaN."""
+    return np.full((rows, _kernels.STATISTICS), np.nan)
 
 
 def assert_rows_partition(tiles, entries):
@@ -93,7 +93,7 @@ def run_tiles(points, protocols, n, seed=42):
     stats = nan_stats(entries)
     for tile in tiles:
         rows = [*ws.rows, *ws.flags]
-        before = [column.copy() for column in stats]
+        before = stats.copy()
         cells, = _kernels.accumulate_chunk(tile, ws, n, stats)
         assert cells == tile.points * n
         # the tile made no row, so it read none that does not hold NaN
@@ -101,10 +101,9 @@ def run_tiles(points, protocols, n, seed=42):
         # it wrote every one of its own rows, through a view, and no other
         own = np.zeros(entries, bool)
         own[tile.rows] = True
-        for old, new in zip(before, stats):
-            assert new[~own].tobytes() == old[~own].tobytes()
-            assert (new[own] != -1).all() if new.dtype == np.int64 else not np.isnan(new[own]).any()
-    return tiles, list(zip(*stats))
+        assert stats[~own].tobytes() == before[~own].tobytes()
+        assert not np.isnan(stats[own]).any()
+    return tiles, list(map(split, stats))
 
 
 def snr_points(snr_dbs):
@@ -193,12 +192,13 @@ class TestKernels:
         full = chunk(params, varz, cfg, 0, 1024)
         part_a = chunk(params, varz, cfg, 0, 400)
         part_b = chunk(params, varz, cfg, 400, 1024)
-        n, means, m2, com, counts = montecarlo._merge(part_a, part_b)
+        n, means, m2, com, counts = first_row(montecarlo._merge(part_a, part_b))
+        _, *want = first_row(full)
         assert n == full[0]
-        assert np.array_equal(counts, full[4])
-        assert means == pytest.approx(full[1], rel=1e-12)
-        assert m2 == pytest.approx(full[2], rel=1e-10)
-        assert com == pytest.approx(full[3], rel=1e-10)
+        assert np.array_equal(counts, want[3])
+        assert means == pytest.approx(want[0], rel=1e-12)
+        assert m2 == pytest.approx(want[1], rel=1e-10)
+        assert com == pytest.approx(want[2], rel=1e-10)
 
     def test_baseline_flag_semantics(self):
         params, varz = setup_point()
@@ -232,14 +232,14 @@ def assert_each_point_alone(points, cfg):
     # each (point, protocol) entry of a call has the bits of a call with that
     # point and protocol alone, in either protocol order, at 1 and 2 workers
     alone = {
-        (k, protocol): next(estimate_metrics([point], (protocol,), cfg))
+        (k, protocol): next(estimate_metrics(*point, (protocol,), cfg))
         for k, point in enumerate(points)
         for protocol in Protocol
     }
     for order in ORDERS:
         want = [alone[k, protocol] for k in range(len(points)) for protocol in order]
         for workers in (1, 2):
-            assert list(estimate_metrics(points, order, cfg, workers=workers)) == want
+            assert list(estimate_metrics(*stacked(points), order, cfg, workers=workers)) == want
 
 
 class TestTiles:
@@ -317,7 +317,7 @@ class TestTiles:
         monkeypatch.setattr(model, "sample_gains", no_chunk)
         for workers in (1, 2):
             with pytest.raises(ValueError, match=f"^{re.escape(str(own.value))}$"):
-                estimate_metrics(grid, Protocol, make_cfg(trials=trials), workers=workers)
+                estimate_metrics(*stacked(grid), Protocol, make_cfg(trials=trials), workers=workers)
 
 
 class TestUfuncBuffer:
@@ -349,15 +349,14 @@ class TestUfuncBuffer:
         for tile in plans[n]:
             accumulate(tile, ws, n, stats)
         assert np.getbufsize() == default
-        for got, want in zip(kernel[1:], stats):
-            assert got.tobytes() == want.tobytes()
+        assert kernel[1].tobytes() == stats.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_buffer_size_is_restored(self, workers, monkeypatch):
         before = np.getbufsize()
         points = sweep_points("d1", 3)
         cfg = make_cfg(trials=CHUNK_TRIALS + 1000)
-        assert estimate_metrics(points, Protocol, cfg, workers=workers).ok.all()
+        assert estimate_metrics(*stacked(points), Protocol, cfg, workers=workers).ok.all()
         assert np.getbufsize() == before
 
         def failing(tile, ws, n, out):
@@ -365,7 +364,7 @@ class TestUfuncBuffer:
 
         monkeypatch.setattr(_kernels, "accumulate_chunk", failing)
         with pytest.raises(RuntimeError, match="kernel failed"):
-            estimate_metrics(points, Protocol, cfg, workers=workers)
+            estimate_metrics(*stacked(points), Protocol, cfg, workers=workers)
         assert np.getbufsize() == before
 
 
@@ -387,13 +386,13 @@ class TestEstimates:
         # more threads than cores and a short switch interval: a workspace
         # shared between threads would mix the draws of different chunks
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
-        points = [setup_point()]
+        point = setup_point()
         cfg = make_cfg(trials=8 * CHUNK_TRIALS + 5)
-        serial = list(estimate_metrics(points, Protocol, cfg))
+        serial = list(estimate_metrics(*point, Protocol, cfg))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = list(estimate_metrics(points, Protocol, cfg, workers=4))
+            threaded = list(estimate_metrics(*point, Protocol, cfg, workers=4))
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
@@ -468,7 +467,7 @@ class TestEstimates:
         exact = outage_x2_near_user(
             params.rho, params.p_n, params.p_f, psi2, psi3, d1 ** -params.v
         )
-        for est in estimate_metrics([(params, varz)], Protocol, make_cfg(trials=1_000_000, seed=7)):
+        for est in estimate_metrics(params, varz, Protocol, make_cfg(trials=1_000_000, seed=7)):
             p, se = est["op_x2_ccu"].mean, est["op_x2_ccu"].std_error
             assert se > 0.0
             assert abs(p - exact) <= 3.0 * se
@@ -494,8 +493,8 @@ class TestEstimates:
         # a name is taken as its Protocol: "ehs-mrc" must not run as the baseline
         params, varz = setup_point()
         cfg = make_cfg(trials=1000)
-        named = list(estimate_metrics([(params, varz)], ("hs-sc", "ehs-mrc"), cfg))
-        assert named == list(estimate_metrics([(params, varz)], ORDERS[1], cfg))
+        named = list(estimate_metrics(params, varz, ("hs-sc", "ehs-mrc"), cfg))
+        assert named == list(estimate_metrics(params, varz, ORDERS[1], cfg))
         assert named[1]["c_x1"].mean > 0.0 and named[0]["c_x1"].mean == 0.0
 
     @pytest.mark.parametrize(
@@ -510,11 +509,33 @@ class TestEstimates:
             raise AssertionError("a chunk ran")
 
         monkeypatch.setattr(model, "sample_gains", no_chunk)
+        grid = model.grid_points(setup_point()[0], "rho", [10.0] * points)
         with pytest.raises(ValueError):
-            estimate_metrics([setup_point()] * points, protocols, make_cfg(trials=10))
+            estimate_metrics(*grid, protocols, make_cfg(trials=10))
+
+    @pytest.mark.parametrize("protocols", ["ehs-mrc", Protocol.EHS_MRC], ids=["name", "member"])
+    def test_a_lone_protocol_is_not_a_sequence(self, protocols):
+        # a name would run as its letters and a member cannot be iterated
+        with pytest.raises(ValueError, match="^need a sequence of protocols, got "):
+            estimate_metrics(*setup_point(), protocols, make_cfg(trials=10))
+
+    @pytest.mark.parametrize(
+        "field, values", [("rho", np.ones((2, 1))), ("d1", np.array([0.3, 0.4, 0.5]))],
+        ids=["2-D", "lengths differ"],
+    )
+    def test_grid_arrays_of_another_form_raise_before_any_chunk(self, field, values, monkeypatch):
+        def no_chunk(*args, **kwargs):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(model, "sample_gains", no_chunk)
+        params, varz = model.grid_points(setup_point()[0], "rho", [10.0, 20.0])
+        setattr(params, field, values)
+        with pytest.raises(ValueError, match="^need floats or 1-D float64 arrays of one length"):
+            estimate_metrics(params, varz, Protocol, make_cfg(trials=10))
 
     def test_no_points_give_no_estimates(self):
-        estimates = estimate_metrics([], Protocol, make_cfg(trials=10))
+        grid = model.grid_points(setup_point()[0], "rho", [])
+        estimates = estimate_metrics(*grid, Protocol, make_cfg(trials=10))
         assert list(estimates) == [] and estimates.mean.shape == (0, len(montecarlo.METRICS))
 
 
@@ -595,13 +616,13 @@ TINY_MEAN_P_CASES = {
 def table(totals):
     """Totals of one trial count, stacked as the rows of one whole-call total."""
     [n] = {total[0] for total in totals}
-    return (n, *(np.array([total[k] for total in totals]) for k in range(1, 5)))
+    return n, np.array([np.hstack(total[1:]) for total in totals], dtype=np.float64)
 
 
 def finish(total):
     """One total finished as a one-point call: {metric: Estimate}; raises its ValueError."""
     finished = montecarlo._finish(table([total]))
-    [est] = montecarlo.Estimates([FINISH_POINT], (Protocol.EHS_MRC,), *finished)
+    [est] = montecarlo.Estimates(*FINISH_POINT, (Protocol.EHS_MRC,), *finished)
     return est
 
 
@@ -706,13 +727,9 @@ class TestFinish:
 def fake_chunk(plans, cfg, lo, hi):
     # moments that depend on the chunk index, so a fold out of order shows
     rows = sum(tile.points * len(tile.protocols) for tile in plans[hi - lo])
-    return (
-        hi - lo,
-        np.full((rows, 5), 1.0 + lo),
-        np.zeros((rows, 5)),
-        np.zeros(rows),
-        np.zeros((rows, 3), dtype=np.int64),
-    )
+    stats = np.zeros((rows, _kernels.STATISTICS))
+    stats[:, :5] = 1.0 + lo
+    return hi - lo, stats
 
 
 class LazyFuture:
@@ -753,9 +770,10 @@ class TestChunkScheduling:
         # the 14 (point, protocol) entries of the default sweep
         sweep = (snr_points(range(0, 35, 5)), Protocol)
         for points, protocols in (one, sweep):
+            grid = stacked(points)
             tracemalloc.start()
             try:
-                estimates = list(estimate_metrics(points, protocols, cfg, workers=workers))
+                estimates = list(estimate_metrics(*grid, protocols, cfg, workers=workers))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -780,10 +798,11 @@ class TestChunkScheduling:
             threads = min(workers, -(-trials // CHUNK_TRIALS))
             # an empty pool, so the call makes and counts its workspaces
             monkeypatch.setattr(montecarlo, "_POOL", [])
+            grid = stacked(points)
             tracemalloc.start()
             try:
                 estimates = list(
-                    estimate_metrics(points, protocols, make_cfg(trials=trials), workers=workers)
+                    estimate_metrics(*grid, protocols, make_cfg(trials=trials), workers=workers)
                 )
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -805,9 +824,10 @@ class TestChunkScheduling:
         one = ([setup_point()], (Protocol.EHS_MRC,))
         for (points, protocols), trials in ((dense, 1000), (one, 10 ** 5)):
             cfg = make_cfg(trials=trials)
-            assert estimate_metrics(points, protocols, cfg).ok.all()
+            grid = stacked(points)
+            assert estimate_metrics(*grid, protocols, cfg).ok.all()
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            assert estimate_metrics(points, protocols, cfg).ok.all()
+            assert estimate_metrics(*grid, protocols, cfg).ok.all()
             assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500, trials
 
     def test_pool_keeps_one_workspace_per_cpu_between_calls(self, monkeypatch):
